@@ -2,6 +2,8 @@
 
 Every stage reads plain CSV/JSON artifacts from the output directory and
 writes its own, so the pipeline can be resumed or inspected at any point.
+Window graphs are built once, by `snapshots`, and read back from
+graphs/edges.csv; the window calendar is read from corpus_stats.json.
 `run` executes all stages in order; identical config + inputs produce a
 byte-identical artifact tree.
 
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import community as community_mod
 from . import evolution, featureset, graph as graph_mod, ingest, lexifeat, model
-from .errors import (ConfigError, DegenerateDatasetError, EmptyCorpusError,
-                     ForumFluxError, MissingArtifactError, ParseError, TrainingError)
+from .errors import (ConfigError, DegenerateDatasetError, ForumFluxError,
+                     MissingArtifactError, ParseError, TrainingError)
 
 _DEFAULTS = {
     "input": "",
@@ -187,28 +189,38 @@ def stage_ingest(cfg, out_dir, seed):
            json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _windows(cfg, out_dir):
+    """The window calendar, from the first and last post in corpus_stats.json."""
+    path = Path(out_dir) / "corpus_stats.json"
+    _require(path, "ingest")
+    try:
+        stats = json.loads(path.read_text("utf-8"))
+        first, last = (ingest.parse_timestamp(stats[k]) for k in ("first_post", "last_post"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed {path}: {exc}") from None
+    return graph_mod.build_windows(first, last, int(cfg["window_days"]))
+
+
 def stage_snapshots(cfg, out_dir, seed):
     del seed
-    _require(Path(out_dir) / "corpus_stats.json", "ingest")
-    posts = _load_posts(out_dir)
-    stats = ingest.corpus_stats(posts)
-    windows = graph_mod.build_windows(stats.first_post, stats.last_post,
-                                      int(cfg["window_days"]))
-    graphs = [graph_mod.build_graph(posts, w) for w in windows]
+    graphs = graph_mod.window_graphs(_load_posts(out_dir), _windows(cfg, out_dir))
     _write(Path(out_dir) / "graphs" / "edges.csv", graph_mod.edges_csv(graphs))
+
+
+def _read_graphs(cfg, out_dir):
+    """(windows, one graph per window) from graphs/edges.csv."""
+    path = Path(out_dir) / "graphs" / "edges.csv"
+    _require(path, "snapshots")
+    windows = _windows(cfg, out_dir)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return windows, graph_mod.graphs_from_csv(fh, windows)
 
 
 def stage_communities(cfg, out_dir, seed):
     del seed
-    _require(Path(out_dir) / "graphs" / "edges.csv", "snapshots")
-    posts = _load_posts(out_dir)
-    stats = ingest.corpus_stats(posts)
-    windows = graph_mod.build_windows(stats.first_post, stats.last_post,
-                                      int(cfg["window_days"]))
     config = _prop_config(cfg)
     communities = []
-    for w in windows:
-        g = graph_mod.build_graph(posts, w)
+    for g in _read_graphs(cfg, out_dir)[1]:
         communities.extend(community_mod.detect_communities(g, config))
     _write(Path(out_dir) / "communities.csv", community_mod.communities_csv(communities))
 
@@ -255,14 +267,8 @@ def _read_roles(out_dir):
 def stage_features(cfg, out_dir, seed):
     del seed
     labels = _read_roles(out_dir)
-    posts = _load_posts(out_dir)
-    communities = _read_communities(out_dir)
-    stats = ingest.corpus_stats(posts)
-    windows = graph_mod.build_windows(stats.first_post, stats.last_post,
-                                      int(cfg["window_days"]))
-    graphs = [graph_mod.build_graph(posts, w) for w in windows]
-    ctx = featureset.FeatureContext(posts, windows, graphs, communities,
-                                    _lexicon(cfg), _intents(cfg))
+    ctx = featureset.FeatureContext(_load_posts(out_dir), *_read_graphs(cfg, out_dir),
+                                    _read_communities(out_dir), _lexicon(cfg), _intents(cfg))
     examples = featureset.build_dataset(labels, _task(cfg), ctx)
     _write(Path(out_dir) / "dataset.csv", featureset.dataset_csv(examples))
 
@@ -308,19 +314,10 @@ def stage_report(cfg, out_dir, seed):
     for key in model.PRESET_KEYS:
         path = Path(out_dir) / "reports" / f"{key}.json"
         _require(path, "train")
-        payload = json.loads(path.read_text("utf-8"))
-        reports.append(model.EvalReport(
-            model_name=payload["model_name"],
-            repeats=payload["repeats"],
-            precision=payload["metrics"]["precision"]["mean"],
-            precision_std=payload["metrics"]["precision"]["std"],
-            recall=payload["metrics"]["recall"]["mean"],
-            recall_std=payload["metrics"]["recall"]["std"],
-            f_measure=payload["metrics"]["f_measure"]["mean"],
-            f_measure_std=payload["metrics"]["f_measure"]["std"],
-            train_accuracy=payload["train_accuracy"]["mean"],
-            train_accuracy_std=payload["train_accuracy"]["std"],
-        ))
+        try:
+            reports.append(model.report_from_json(path.read_text("utf-8")))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"malformed report {path}: {exc}") from None
     _write(Path(out_dir) / "report_table.txt", model.report_table(reports))
 
 
@@ -386,8 +383,7 @@ def main(argv=None):
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, EmptyCorpusError, MissingArtifactError,
-            DegenerateDatasetError, ForumFluxError) as exc:
+    except ForumFluxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,6 +9,7 @@ two-phase update keeps results independent of pair evaluation order.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations
@@ -89,7 +90,7 @@ def detect_communities(graph, config=PropinquityConfig()):
     assigned in ascending order of smallest member user_id.
     """
     adjacency = graph.neighbors()
-    seen_topologies = {frozenset(map(frozenset, _candidate_edges(adjacency)))}
+    seen_topologies = {frozenset(map(frozenset, graph.edges))}
     for _ in range(config.max_iterations):
         pairs = _candidate_pairs(adjacency)
         keep = set()
@@ -119,10 +120,6 @@ def detect_communities(graph, config=PropinquityConfig()):
             members=frozenset(comp),
         ))
     return communities
-
-
-def _candidate_edges(adjacency):
-    return {(u, v) for u, neigh in adjacency.items() for v in neigh if u < v}
 
 
 def modularity(graph, communities):
@@ -167,11 +164,8 @@ def modularity(graph, communities):
 def communities_csv(communities):
     """CSV snapshot_index,community_id,user_id sorted by all three keys."""
     buf = io.StringIO()
-    buf.write("snapshot_index,community_id,user_id\n")
-    rows = []
-    for comm in communities:
-        for user in comm.members:
-            rows.append((comm.snapshot_index, comm.community_id, user))
-    for snap, cid, user in sorted(rows):
-        buf.write(f"{snap},{cid},{user}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["snapshot_index", "community_id", "user_id"])
+    writer.writerows(sorted((comm.snapshot_index, comm.community_id, user)
+                            for comm in communities for user in comm.members))
     return buf.getvalue()

@@ -10,6 +10,7 @@ is deliberate.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
@@ -132,7 +133,8 @@ def label_all(communities_by_snapshot):
 def roles_csv(labels):
     """CSV snapshot_index,user_id,role,community_id sorted per the export contract."""
     buf = io.StringIO()
-    buf.write("snapshot_index,user_id,role,community_id\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["snapshot_index", "user_id", "role", "community_id"])
     for l in sorted(labels, key=lambda l: (l.snapshot_index, l.role.value, l.user_id)):
-        buf.write(f"{l.snapshot_index},{l.user_id},{l.role.value},{l.community_id}\n")
+        writer.writerow([l.snapshot_index, l.user_id, l.role.value, l.community_id])
     return buf.getvalue()

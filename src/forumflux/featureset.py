@@ -9,6 +9,7 @@ disambiguator, and last_activity measured from the corpus start.
 
 from __future__ import annotations
 
+import csv
 import io
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from . import community as community_mod
 from . import graph as graph_mod
 from .errors import DegenerateDatasetError, ForumFluxError
-from .evolution import Role, Task, label_all
+from .evolution import ROLES_BY_TASK, Task
 from .lexifeat import text_measures
 
 FEATURE_NAMES = [
@@ -117,28 +118,10 @@ class FeatureContext:
             raise ForumFluxError("cannot build a feature context from an empty corpus")
         times = [p.created_at for p in posts]
         windows = graph_mod.build_windows(min(times), max(times), window_days)
-        graphs = [graph_mod.build_graph(posts, w) for w in windows]
-        communities = {
-            g.snapshot_index: community_mod.detect_communities(g, prop_config)
-            for g in graphs
-        }
+        graphs = graph_mod.window_graphs(posts, windows)
+        communities = {g.snapshot_index: community_mod.detect_communities(g, prop_config)
+                       for g in graphs}
         return cls(posts, windows, graphs, communities, lexicon, patterns, backend=backend)
-
-    def labels(self):
-        return label_all(self.communities)
-
-
-def user_window_measures(user, window, posts, lexicon, patterns):
-    """Summed per-post text measures for one user inside one window."""
-    s = c = i = 0
-    for p in posts:
-        if p.user_id == user and window.start <= p.created_at < window.end:
-            m = text_measures(p.body, lexicon, patterns)
-            s += m.sentiment
-            c += m.cognition
-            i += m.intent
-    from .lexifeat import TextMeasures
-    return TextMeasures(sentiment=s, cognition=c, intent=i)
 
 
 def assemble_features(ctx, user, snapshot_index):
@@ -216,10 +199,7 @@ def build_dataset(labels, task, ctx):
     keeps the prediction causal. Duplicate (user, snapshot) rows collapse
     with positive-label precedence.
     """
-    positive_role, negative_role = {
-        Task.JOIN_VS_PREVIOUS: (Role.JOINING, Role.PREVIOUS),
-        Task.LEAVE_VS_STAY: (Role.LEAVING, Role.STAYING),
-    }[task]
+    positive_role, negative_role = ROLES_BY_TASK[task]
     rows = {}
     for label in labels:
         if label.role not in (positive_role, negative_role):
@@ -255,9 +235,10 @@ def dataset_to_arrays(examples):
 def dataset_csv(examples):
     """CSV task,snapshot_index,user_id,label,<18 feature columns>."""
     buf = io.StringIO()
-    buf.write("task,snapshot_index,user_id,label," + ",".join(FEATURE_NAMES) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES)
     ordered = sorted(examples, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
     for ex in ordered:
-        values = ",".join(repr(v) for v in astuple(ex.features))
-        buf.write(f"{ex.task.value},{ex.snapshot_index},{ex.user_id},{ex.label},{values}\n")
+        writer.writerow([ex.task.value, ex.snapshot_index, ex.user_id, ex.label]
+                        + [repr(v) for v in astuple(ex.features)])
     return buf.getvalue()

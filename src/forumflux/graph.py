@@ -8,8 +8,8 @@ threads. Centralities are computed on the unweighted graph.
 
 from __future__ import annotations
 
+import csv
 import io
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import combinations
@@ -17,9 +17,10 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 SECONDS_PER_DAY = 86400.0
+EDGE_COLUMNS = ["snapshot_index", "user_a", "user_b", "weight"]
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,16 @@ def build_windows(first_post, last_post, window_days):
         raise ConfigError(f"window_days must be positive, got {window_days}")
     if first_post > last_post:
         raise ConfigError("first_post must not be after last_post")
-    span_days = (last_post - first_post).total_seconds() / SECONDS_PER_DAY
-    count = math.floor(span_days / window_days) + 1
     width = timedelta(days=window_days)
     return [
         SnapshotWindow(index=i, start=first_post + i * width, end=first_post + (i + 1) * width)
-        for i in range(count)
+        for i in range(window_index(first_post, last_post, window_days) + 1)
     ]
 
 
 def window_index(first_post, ts, window_days):
-    """Index of the window a timestamp falls in, counted from first_post."""
-    days_since = (ts - first_post).total_seconds() / SECONDS_PER_DAY
-    return math.floor(days_since / window_days)
+    """Index of ts's window from first_post; exact, so it agrees with start <= ts < end."""
+    return (ts - first_post) // timedelta(days=window_days)
 
 
 def build_graph(posts, window):
@@ -78,6 +76,17 @@ def build_graph(posts, window):
         for a, b in combinations(sorted(users), 2):
             edges[(a, b)] = edges.get((a, b), 0) + 1
     return InteractionGraph(snapshot_index=window.index, nodes=frozenset(nodes), edges=edges)
+
+
+def window_graphs(posts, windows):
+    """One graph per window of a contiguous calendar; each post is bucketed once."""
+    first, days = windows[0].start, (windows[0].end - windows[0].start) / timedelta(days=1)
+    buckets = [[] for _ in windows]
+    for post in posts:
+        k = window_index(first, post.created_at, days)
+        if 0 <= k < len(buckets):
+            buckets[k].append(post)
+    return [build_graph(bucket, w) for bucket, w in zip(buckets, windows)]
 
 
 def _to_csr(graph):
@@ -108,19 +117,40 @@ def centrality_all(graph, backend=None):
     )
 
 
-def closeness_all(graph, backend=None):
-    return centrality_all(graph, backend=backend)[0]
-
-
-def betweenness_all(graph, backend=None):
-    return centrality_all(graph, backend=backend)[1]
-
-
 def edges_csv(graphs):
-    """CSV edge list snapshot_index,user_a,user_b,weight across snapshots."""
+    """CSV edge list snapshot_index,user_a,user_b,weight across snapshots.
+
+    A node without edges gets the row k,user,,0 (ingest rejects empty user ids).
+    """
     buf = io.StringIO()
-    buf.write("snapshot_index,user_a,user_b,weight\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(EDGE_COLUMNS)
     for graph in sorted(graphs, key=lambda g: g.snapshot_index):
-        for (a, b) in sorted(graph.edges):
-            buf.write(f"{graph.snapshot_index},{a},{b},{graph.edges[(a, b)]}\n")
+        rows = [(a, b, w) for (a, b), w in graph.edges.items()]
+        rows += [(u, "", 0) for u in graph.nodes.difference(*graph.edges)]
+        writer.writerows((graph.snapshot_index, *row) for row in sorted(rows))
     return buf.getvalue()
+
+
+def graphs_from_csv(fh, windows):
+    """Inverse of edges_csv: one graph per window, empty where no row names it."""
+    nodes = [set() for _ in windows]
+    edges = [{} for _ in windows]
+    reader = csv.reader(fh)
+    if next(reader, None) != EDGE_COLUMNS:
+        raise ParseError(f"edge list header must be {','.join(EDGE_COLUMNS)}")
+    for row in reader:
+        try:
+            k, a, b, weight = row
+            k, weight = int(k), int(weight)
+        except ValueError:
+            raise ParseError(f"malformed edge row at line {reader.line_num}") from None
+        if not 0 <= k < len(windows):
+            raise ParseError(f"edge row at line {reader.line_num} names snapshot {k}, "
+                             f"outside the {len(windows)} configured windows")
+        nodes[k].add(a)
+        if b:
+            nodes[k].add(b)
+            edges[k][(a, b)] = weight
+    return [InteractionGraph(snapshot_index=w.index, nodes=frozenset(n), edges=e)
+            for w, n, e in zip(windows, nodes, edges)]

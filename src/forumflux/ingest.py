@@ -73,6 +73,8 @@ def _make_record(fields, line_no, seen_ids):
         raise ParseError(f"empty thread_id{where}")
     if not fields["user_id"]:
         raise ParseError(f"empty user_id{where}")
+    if "\r" in fields["user_id"]:  # the artifact CSVs end lines with \n and leave \r unquoted
+        raise ParseError(f"carriage return in user_id{where}")
     if post_id in seen_ids:
         raise ParseError(f"duplicate post_id {post_id!r}{where}")
     seen_ids.add(post_id)

@@ -104,13 +104,8 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
     return loss, grad_w, grad_b
 
 
-def train(X, y, mask=None, hyper=Hyper(), seed=0):
-    """Full-batch gradient descent from zero init; deterministic given inputs.
-
-    The seed parameter is part of the contract for forward compatibility;
-    zero-initialized full-batch descent does not consume randomness.
-    """
-    del seed
+def train(X, y, mask=None, hyper=Hyper()):
+    """Full-batch gradient descent from zero init; deterministic given inputs."""
     if mask is None:
         mask = np.ones(X.shape[1], dtype=bool)
     mask = np.asarray(mask, dtype=bool)
@@ -261,6 +256,15 @@ def report_json(report):
         "train_accuracy": {"mean": report.train_accuracy, "std": report.train_accuracy_std},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_from_json(text):
+    """Inverse of report_json."""
+    payload = json.loads(text)
+    stats = dict(payload["metrics"], train_accuracy=payload["train_accuracy"])
+    fields = {name + suffix: stat[key] for name, stat in stats.items()
+              for suffix, key in (("", "mean"), ("_std", "std"))}
+    return EvalReport(model_name=payload["model_name"], repeats=payload["repeats"], **fields)
 
 
 def report_table(reports):

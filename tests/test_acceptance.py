@@ -16,7 +16,7 @@ from forumflux import community as community_mod
 from forumflux import featureset, graph as graph_mod, ingest, lexifeat, model
 from forumflux.cli import main as cli_main
 from forumflux.community import PropinquityConfig, detect_communities, modularity
-from forumflux.evolution import Role, Task, label_roles, match_communities
+from forumflux.evolution import Role, Task, label_all, label_roles, match_communities
 from forumflux.graph import build_windows, centrality_all
 
 from conftest import TWO_TRIANGLES_BRIDGE, make_community, make_graph
@@ -167,7 +167,7 @@ def _pipeline_f_measure(strength, seed=7, repeats=20):
     ctx = featureset.FeatureContext.build(
         posts, 24, lexifeat.default_lexicon(), lexifeat.default_intent_patterns(),
         PropinquityConfig())
-    examples = featureset.build_dataset(ctx.labels(), Task.LEAVE_VS_STAY, ctx)
+    examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
     X, y = featureset.dataset_to_arrays(examples)
     rep = model.monte_carlo_cv(X, y, model.table2_presets()[0],
                                repeats=repeats, seed=0)

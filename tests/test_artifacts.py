@@ -1,0 +1,97 @@
+"""Round trips of every artifact CSV writer through the reader its stage uses.
+
+User ids are drawn from any text that ingest accepts as an id: non-empty and
+free of carriage returns. Commas, quotes and newlines must survive.
+"""
+
+import csv
+import io
+import tempfile
+from datetime import timedelta
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forumflux import cli
+from forumflux.community import Community, communities_csv
+from forumflux.evolution import Role, RoleLabel, Task, roles_csv
+from forumflux.featureset import (N_FEATURES, FeatureVector, LabeledExample, dataset_csv,
+                                  dataset_to_arrays)
+from forumflux.graph import InteractionGraph, build_windows, edges_csv, graphs_from_csv
+
+from conftest import T0
+
+user_ids = st.text(min_size=1, max_size=6).filter(lambda s: "\r" not in s)
+
+
+def read_back(name, text, reader):
+    """Write text as the artifact name in a fresh output directory, then read it."""
+    with tempfile.TemporaryDirectory() as out:
+        (Path(out) / name).write_text(text, encoding="utf-8")
+        return reader(out)
+
+
+@st.composite
+def graph_lists(draw):
+    graphs = []
+    for k in range(draw(st.integers(1, 3))):
+        nodes = sorted(draw(st.sets(user_ids, max_size=5)))
+        pairs = list(combinations(nodes, 2))
+        chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        edges = {pair: draw(st.integers(1, 9)) for pair in chosen}
+        graphs.append(InteractionGraph(snapshot_index=k, nodes=frozenset(nodes), edges=edges))
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_lists())
+def test_edges_round_trip(graphs):
+    windows = build_windows(T0, T0 + timedelta(days=len(graphs) - 1), 1)
+    assert graphs_from_csv(io.StringIO(edges_csv(graphs), newline=""), windows) == graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 4), st.lists(st.sets(user_ids, min_size=1, max_size=4),
+                                                  min_size=1, max_size=3)))
+def test_communities_round_trip(member_sets):
+    by_snapshot = {
+        snap: [Community(snapshot_index=snap, community_id=cid, members=frozenset(members))
+               for cid, members in enumerate(sets)]
+        for snap, sets in member_sets.items()
+    }
+    text = communities_csv([c for comms in by_snapshot.values() for c in comms])
+    assert read_back("communities.csv", text, cli._read_communities) == by_snapshot
+
+
+role_labels = st.builds(RoleLabel, user_id=user_ids, snapshot_index=st.integers(1, 9),
+                        role=st.sampled_from(Role), community_id=st.integers(0, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(role_labels, max_size=8))
+def test_roles_round_trip(labels):
+    expected = sorted(labels, key=lambda l: (l.snapshot_index, l.role.value, l.user_id))
+    assert read_back("roles.csv", roles_csv(labels), cli._read_roles) == expected
+
+
+feature_vectors = st.lists(st.floats(allow_nan=False), min_size=N_FEATURES,
+                           max_size=N_FEATURES).map(lambda v: FeatureVector(*v))
+examples = st.builds(LabeledExample, user_id=user_ids, snapshot_index=st.integers(0, 9),
+                     task=st.sampled_from(Task), label=st.integers(0, 1),
+                     features=feature_vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(examples, min_size=1, max_size=6))
+def test_dataset_round_trip(rows):
+    ordered = sorted(rows, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
+    text = dataset_csv(rows)
+    X, y = read_back("dataset.csv", text, cli._read_dataset)
+    X_exp, y_exp = dataset_to_arrays(ordered)
+    np.testing.assert_array_equal(X, X_exp)
+    np.testing.assert_array_equal(y, y_exp)
+    users = [row[2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
+    assert users == [e.user_id for e in ordered]

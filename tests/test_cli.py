@@ -1,9 +1,13 @@
+import csv
 import filecmp
 import json
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
+from forumflux import cli, graph as graph_mod, ingest
 from forumflux.cli import main
 
 SYNTH_CFG = """
@@ -130,3 +134,82 @@ def test_synth_csv_format(tmp_path):
     assert run_cli("--config", str(cfg), "--out", str(out), "--quiet", "synth") == 0
     assert (out / "posts.csv").exists()
     assert run_cli("--config", str(cfg), "--out", str(out), "--quiet", "ingest") == 0
+
+
+def write_corpus(out, posts):
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "posts.jsonl").write_bytes(ingest.serialize_posts(posts, "jsonl"))
+
+
+def small_corpus():
+    return ingest.generate_synthetic_forum(7, ingest.SynthParams(
+        n_users=60, n_threads=96, n_windows=5, window_days=24))
+
+
+class TestArtifactInterface:
+    def test_ids_with_commas_quotes_and_newlines(self, tmp_path, config_path):
+        odd = {f"u{i:04d}": f'smith, j "x"\n{i}' for i in range(0, 60, 3)}
+        posts = [replace(p, user_id=odd.get(p.user_id, p.user_id)) for p in small_corpus()]
+        out = tmp_path / "out"
+        write_corpus(out, posts)
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "run") == 0
+        with open(out / "dataset.csv", newline="", encoding="utf-8") as fh:
+            users = {row["user_id"] for row in csv.DictReader(fh)}
+        assert users & set(odd.values())
+
+    def test_isolated_poster_and_empty_window_staged_equals_run(self, tmp_path):
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text(SYNTH_CFG + "min_community_size = 1\n")
+        width = timedelta(days=24)
+        start = min(p.created_at for p in small_corpus())
+        # leave window 2 empty: everything from window 2 on moves one window later
+        posts = [p if p.created_at < start + 2 * width
+                 else replace(p, created_at=p.created_at + width) for p in small_corpus()]
+        posts.append(ingest.PostRecord("loner-post", "loner-thread", "loner",
+                                       start + width + timedelta(hours=1), "hello"))
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        for out in (staged, whole):
+            write_corpus(out, posts)
+        for stage in ("ingest", "snapshots", "communities", "roles", "features",
+                      "train", "report"):
+            assert run_cli("--config", str(cfg), "--out", str(staged), "--quiet", stage) == 0
+        assert run_cli("--config", str(cfg), "--out", str(whole), "--quiet", "run") == 0
+        assert artifact_tree(staged) == artifact_tree(whole)
+        for rel in artifact_tree(staged):
+            assert filecmp.cmp(staged / rel, whole / rel, shallow=False), rel
+        edges = (staged / "graphs" / "edges.csv").read_text().splitlines()
+        assert "1,loner,,0" in edges
+        assert not any(line.startswith("2,") for line in edges)
+        assert "1,0,loner" in (staged / "communities.csv").read_text().splitlines()
+
+    def test_communities_needs_no_posts(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest", "snapshots"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        (out / "posts.jsonl").unlink()
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet",
+                       "communities") == 0
+
+    def test_edge_row_outside_windows_rejected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest", "snapshots", "communities", "roles"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        n_windows = len(cli._windows(cli.load_config(config_path), out))
+        with open(out / "graphs" / "edges.csv", "a", encoding="utf-8") as fh:
+            fh.write(f"{n_windows},a,b,1\n")
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "features") == 2
+        assert "outside the" in capsys.readouterr().err
+
+    def test_downstream_stages_do_not_rebuild_graphs(self, tmp_path, config_path,
+                                                     monkeypatch):
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest", "snapshots"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("recomputed from posts")
+        for name in ("build_graph", "window_graphs"):
+            monkeypatch.setattr(graph_mod, name, forbidden)
+        monkeypatch.setattr(ingest, "corpus_stats", forbidden)
+        for stage in ("communities", "roles", "features"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0

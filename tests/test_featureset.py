@@ -4,10 +4,10 @@ import pytest
 
 from forumflux import featureset
 from forumflux.errors import DegenerateDatasetError, ForumFluxError
-from forumflux.evolution import Role, RoleLabel, Task
+from forumflux.evolution import Role, RoleLabel, Task, label_all
 from forumflux.featureset import (FEATURE_NAMES, FeatureContext, assemble_features,
-                                  build_dataset, dataset_csv, user_window_measures)
-from forumflux.graph import build_graph, build_windows
+                                  build_dataset, dataset_csv)
+from forumflux.graph import build_windows, window_graphs
 from forumflux.lexifeat import IntentPatterns, Lexicon
 
 from conftest import T0, make_community, make_post
@@ -19,8 +19,8 @@ PATTERNS = IntentPatterns(phrases=(("i", "will"),))
 def make_context(posts, communities_by_snapshot=None, window_days=1):
     times = [p.created_at for p in posts]
     windows = build_windows(min(times), max(times), window_days)
-    graphs = [build_graph(posts, w) for w in windows]
-    return FeatureContext(posts, windows, graphs, communities_by_snapshot or {},
+    return FeatureContext(posts, windows, window_graphs(posts, windows),
+                          communities_by_snapshot or {},
                           LEX, PATTERNS)
 
 
@@ -31,26 +31,32 @@ def day_posts(spec):
 
 
 class TestUserWindowMeasures:
-    def test_no_posts(self, day_window):
-        m = user_window_measures("u1", day_window, [], LEX, PATTERNS)
-        assert (m.sentiment, m.cognition, m.intent) == (0, 0, 0)
+    """The current-window text fields: one user's posts inside one window."""
 
-    def test_sums_over_posts(self, day_window):
+    def test_no_posts(self):
+        posts = day_posts([
+            ("p1", "t1", "u1", 0.1, "happy thinking i will go"),
+            ("p2", "t2", "u1", 1.1, "stone"),
+        ])
+        # the window-1 post matches no category; the window-0 post must not count
+        fv = assemble_features(make_context(posts), "u1", 1)
+        assert (fv.sentiment, fv.cognition, fv.intent) == (0, 0, 0)
+
+    def test_sums_over_posts(self):
         posts = day_posts([
             ("p1", "t1", "u1", 0.1, "happy stone"),
             ("p2", "t1", "u1", 0.2, "happy happy"),
             ("p3", "t1", "u2", 0.3, "happy"),
         ])
-        m = user_window_measures("u1", day_window, posts, LEX, PATTERNS)
-        assert m.sentiment == 3
+        assert assemble_features(make_context(posts), "u1", 0).sentiment == 3
 
-    def test_manual_count_mixed(self, day_window):
+    def test_manual_count_mixed(self):
         posts = day_posts([
             ("p1", "t1", "u1", 0.1, "thinking about it i will go"),
             ("p2", "t1", "u1", 0.2, "happy thinker here"),
         ])
-        m = user_window_measures("u1", day_window, posts, LEX, PATTERNS)
-        assert (m.sentiment, m.cognition, m.intent) == (1, 2, 1)
+        fv = assemble_features(make_context(posts), "u1", 0)
+        assert (fv.sentiment, fv.cognition, fv.intent) == (1, 2, 1)
 
 
 class TestAssembleFeatures:
@@ -158,7 +164,7 @@ def scenario_context():
 class TestBuildDataset:
     def test_scenario_counts(self):
         ctx = scenario_context()
-        labels = ctx.labels()
+        labels = label_all(ctx.communities)
         join = build_dataset(labels, Task.JOIN_VS_PREVIOUS, ctx)
         leave = build_dataset(labels, Task.LEAVE_VS_STAY, ctx)
         assert sum(e.label for e in join) == 1
@@ -172,7 +178,7 @@ class TestBuildDataset:
 
     def test_degenerate_dataset_rejected(self):
         ctx = scenario_context()
-        stay_only = [l for l in ctx.labels() if l.role is Role.STAYING]
+        stay_only = [l for l in label_all(ctx.communities) if l.role is Role.STAYING]
         with pytest.raises(DegenerateDatasetError):
             build_dataset(stay_only, Task.LEAVE_VS_STAY, ctx)
 
@@ -191,7 +197,7 @@ class TestBuildDataset:
 
 def test_dataset_csv_header_and_order():
     ctx = scenario_context()
-    rows = build_dataset(ctx.labels(), Task.LEAVE_VS_STAY, ctx)
+    rows = build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
     out = dataset_csv(rows)
     lines = out.strip().splitlines()
     assert lines[0] == "task,snapshot_index,user_id,label," + ",".join(FEATURE_NAMES)

@@ -1,3 +1,4 @@
+import io
 from datetime import datetime, timedelta, timezone
 from itertools import combinations, permutations
 
@@ -6,10 +7,9 @@ import pytest
 
 from forumflux import graph as graph_mod
 from forumflux._kernels import HAVE_NUMBA
-from forumflux.errors import ConfigError
-from forumflux.graph import (SnapshotWindow, betweenness_all, build_graph,
-                             build_windows, centrality_all, closeness_all,
-                             edges_csv, window_index)
+from forumflux.errors import ConfigError, ParseError
+from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
+                             edges_csv, graphs_from_csv, window_graphs, window_index)
 
 from conftest import T0, make_graph, make_post
 
@@ -177,34 +177,33 @@ def random_tree(rng, n):
 class TestCentralityFixtures:
     def test_isolated_node(self):
         g = make_graph([], extra_nodes=["a"])
-        assert closeness_all(g) == {"a": 0.0}
-        assert betweenness_all(g) == {"a": 0.0}
+        assert centrality_all(g) == ({"a": 0.0}, {"a": 0.0})
 
     def test_star_closeness(self):
         g = make_graph([("c", "x"), ("c", "y"), ("c", "z")])
-        clo = closeness_all(g)
+        clo = centrality_all(g)[0]
         assert clo["c"] == pytest.approx(1.0)
         for leaf in "xyz":
             assert clo[leaf] == pytest.approx(0.6)
 
     def test_two_disjoint_edges_closeness(self):
         g = make_graph([("a", "b"), ("c", "d")])
-        clo = closeness_all(g)
+        clo = centrality_all(g)[0]
         for u in "abcd":
             assert clo[u] == pytest.approx(1 / 3)
 
     def test_path_betweenness(self):
         g = make_graph([("a", "b"), ("b", "c")])
-        bet = betweenness_all(g)
+        bet = centrality_all(g)[1]
         assert bet == {"a": 0.0, "b": 1.0, "c": 0.0}
 
     def test_k4_betweenness(self):
         g = make_graph([(a, b) for a, b in combinations("abcd", 2)])
-        assert all(v == 0.0 for v in betweenness_all(g).values())
+        assert all(v == 0.0 for v in centrality_all(g)[1].values())
 
     def test_four_cycle_betweenness(self):
         g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-        bet = betweenness_all(g)
+        bet = centrality_all(g)[1]
         assert all(v == pytest.approx(0.5) for v in bet.values())
 
 
@@ -225,7 +224,7 @@ class TestCentralityOracles:
         for _ in range(20):
             g = random_tree(rng, int(rng.integers(2, 13)))
             adj = g.neighbors()
-            bet = betweenness_all(g)
+            bet = centrality_all(g)[1]
             for v in g.nodes:
                 routed = 0
                 for s, t in permutations(g.nodes, 2):
@@ -255,3 +254,37 @@ def test_edges_csv_format(day_window):
     out = edges_csv([g2, g1])
     assert out == ("snapshot_index,user_a,user_b,weight\n"
                    "0,a,b,2\n0,a,c,1\n1,y,z,3\n")
+
+
+def test_window_index_is_exact_at_boundaries():
+    width = timedelta(days=24)
+    assert window_index(T0, T0 + width - timedelta(microseconds=1), 24) == 0
+    assert window_index(T0, T0 + width, 24) == 1
+    assert window_index(T0, T0 - timedelta(seconds=1), 24) == -1
+
+
+def test_window_graphs_matches_per_window_build():
+    # posts every 5 hours from T0 to T0 + 195 h; the windows cover [2 h, 194 h)
+    posts = [make_post(f"p{i}", f"t{i % 4}", f"u{i % 5}", minutes=i * 300) for i in range(40)]
+    windows = build_windows(T0 + timedelta(hours=2), T0 + timedelta(days=7), 2)
+    assert window_graphs(posts, windows) == [build_graph(posts, w) for w in windows]
+
+
+def test_edges_csv_round_trip_keeps_isolated_nodes_and_empty_windows():
+    windows = build_windows(T0, T0 + timedelta(days=2), 1)
+    graphs = [
+        make_graph([("a", "b", 2)], snapshot_index=0, extra_nodes=["loner"]),
+        make_graph([], snapshot_index=1),
+        make_graph([], snapshot_index=2, extra_nodes=["solo"]),
+    ]
+    text = edges_csv(graphs)
+    assert text == ("snapshot_index,user_a,user_b,weight\n"
+                    "0,a,b,2\n0,loner,,0\n2,solo,,0\n")
+    assert graphs_from_csv(io.StringIO(text, newline=""), windows) == graphs
+
+
+def test_edges_csv_row_outside_windows_rejected():
+    windows = build_windows(T0, T0, 1)
+    text = "snapshot_index,user_a,user_b,weight\n1,a,b,1\n"
+    with pytest.raises(ParseError, match="outside the 1 configured windows"):
+        graphs_from_csv(io.StringIO(text, newline=""), windows)

@@ -49,6 +49,12 @@ class TestParsePosts:
         with pytest.raises(ParseError, match="naive"):
             parse_bytes(row.encode(), "jsonl")
 
+    def test_carriage_return_in_user_id_rejected(self):
+        row = ('{"post_id":"p1","thread_id":"t1","user_id":"u\\r1",'
+               '"created_at":"2000-04-21T00:00:00Z","body":"x"}\n')
+        with pytest.raises(ParseError, match="carriage return in user_id at line 1"):
+            parse_bytes(row.encode(), "jsonl")
+
     def test_csv_round_trips_newlines_in_body(self):
         rec = make_post("p1", "t1", "u1", body="line one\nline two")
         data = ingest.serialize_posts([rec], "csv")
@@ -159,8 +165,8 @@ def test_no_signal_distributions_indistinguishable():
     ctx = featureset.FeatureContext.build(posts, 24, lexifeat.default_lexicon(),
                                           lexifeat.default_intent_patterns(),
                                           community.PropinquityConfig())
-    from forumflux.evolution import Task
-    examples = featureset.build_dataset(ctx.labels(), Task.LEAVE_VS_STAY, ctx)
+    from forumflux.evolution import Task, label_all
+    examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
     assert len(examples) >= 1000
     for feature in ("cognition", "connectiveness"):
         leavers = [getattr(e.features, feature) for e in examples if e.label == 1]

@@ -8,7 +8,8 @@ from forumflux.errors import ConfigError, TrainingError
 from forumflux.featureset import FEATURE_NAMES, N_FEATURES
 from forumflux.model import (AblationPreset, Hyper, evaluate, loss_and_gradient,
                              monte_carlo_cv, normalize_apply, normalize_fit,
-                             report_json, report_table, table2_presets, train)
+                             report_from_json, report_json, report_table, table2_presets,
+                             train)
 
 
 def full_mask():
@@ -237,6 +238,7 @@ def test_report_serialization_round_trip():
     report = monte_carlo_cv(X, y, table2_presets()[0], repeats=2, seed=0)
     payload = json.loads(report_json(report))
     assert payload["model_name"] == "M1: all features"
+    assert report_from_json(report_json(report)) == report
     assert payload["metrics"]["f_measure"]["mean"] == report.f_measure
     table = report_table([report])
     lines = table.splitlines()
