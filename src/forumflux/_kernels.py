@@ -1,9 +1,12 @@
-"""Hot centrality kernels over CSR adjacency.
+"""Closeness and betweenness over CSR adjacency, in one numpy kernel.
 
-Two interchangeable backends compute closeness and betweenness in a single
-BFS sweep per source: a numba-jitted kernel and a pure numpy/python fallback.
-Set FORUMFLUX_NO_NUMBA=1 (or any non-empty value) to force the fallback; the
-two produce bit-identical scores because they accumulate in the same order.
+Brandes' algorithm (2001) runs level by level for a block of BFS sources at
+once: a level's shortest-path counts are the previous level's counts summed
+over each node's neighbours (a gather over `indices` reduced per node with
+`np.add.reduceat`), and dependencies flow back through the same gather. Each
+block's (sources x nodes) and (sources x edge slots) arrays stay within
+_BLOCK_ELEMENTS elements, so memory is O(block * (n + nnz)), never n x n, and
+no BLAS routine is called. Path counts are exact integers in float64.
 Closeness uses the reachable-count correction (r/(n-1)) * (r/sum_d) so
 disconnected snapshot graphs stay finite; betweenness is the unnormalized
 ordered-pair sum halved for undirectedness.
@@ -11,128 +14,57 @@ ordered-pair sum halved for undirectedness.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-
 import numpy as np
 
-
-def _centrality_py(indptr, indices):
-    n = indptr.shape[0] - 1
-    closeness = np.zeros(n)
-    betweenness = np.zeros(n)
-    dist = np.empty(n, dtype=np.int64)
-    sigma = np.empty(n)
-    delta = np.empty(n)
-    for s in range(n):
-        dist[:] = -1
-        sigma[:] = 0.0
-        delta[:] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-        r = len(order) - 1
-        if r > 0 and n > 1:
-            total = int(dist[order].sum())
-            closeness[s] = (r / (n - 1)) * (r / total)
-        for w in reversed(order):
-            for v in indices[indptr[w]:indptr[w + 1]]:
-                if dist[v] == dist[w] - 1:
-                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                betweenness[w] += delta[w]
-    betweenness *= 0.5
-    return closeness, betweenness
-
-
-try:  # pragma: no cover - exercised indirectly via backend selection
-    from numba import njit
-
-    @njit(cache=True)
-    def _centrality_nb(indptr, indices):
-        n = indptr.shape[0] - 1
-        closeness = np.zeros(n)
-        betweenness = np.zeros(n)
-        dist = np.empty(n, dtype=np.int64)
-        sigma = np.empty(n)
-        delta = np.empty(n)
-        order = np.empty(n, dtype=np.int64)
-        queue = np.empty(n, dtype=np.int64)
-        for s in range(n):
-            for i in range(n):
-                dist[i] = -1
-                sigma[i] = 0.0
-                delta[i] = 0.0
-            dist[s] = 0
-            sigma[s] = 1.0
-            head = 0
-            tail = 1
-            queue[0] = s
-            count = 0
-            while head < tail:
-                v = queue[head]
-                head += 1
-                order[count] = v
-                count += 1
-                for ei in range(indptr[v], indptr[v + 1]):
-                    w = indices[ei]
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue[tail] = w
-                        tail += 1
-                    if dist[w] == dist[v] + 1:
-                        sigma[w] += sigma[v]
-            r = count - 1
-            if r > 0 and n > 1:
-                total = 0
-                for i in range(count):
-                    total += dist[order[i]]
-                closeness[s] = (r / (n - 1)) * (r / total)
-            for i in range(count - 1, -1, -1):
-                w = order[i]
-                for ei in range(indptr[w], indptr[w + 1]):
-                    v = indices[ei]
-                    if dist[v] == dist[w] - 1:
-                        delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-                if w != s:
-                    betweenness[w] += delta[w]
-        for i in range(n):
-            betweenness[i] *= 0.5
-        return closeness, betweenness
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _centrality_nb = None
-    HAVE_NUMBA = False
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def active_backend():
-    """Backend name actually used for centrality: 'numba' or 'numpy'."""
-    if os.environ.get("FORUMFLUX_NO_NUMBA"):
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the centrality implementation."""
+    return "numpy"
 
 
-def centrality_csr(indptr, indices, backend=None):
+def centrality_csr(indptr, indices):
     """(closeness, betweenness) arrays for a CSR undirected adjacency."""
-    if backend is None:
-        backend = active_backend()
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return _centrality_nb(indptr, indices)
-    if backend == "numpy":
-        return _centrality_py(indptr, indices)
-    raise ValueError(f"unknown backend {backend!r}")
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    n = indptr.shape[0] - 1
+    closeness, betweenness = np.zeros(n), np.zeros(n)
+    if indices.size == 0:
+        return closeness, betweenness
+    linked = np.flatnonzero(np.diff(indptr))
+
+    def neighbour_sum(x):
+        """out[:, v] = sum of x[:, w] over the neighbours w of v."""
+        out = np.zeros_like(x)
+        out[:, linked] = np.add.reduceat(x[:, indices], indptr[linked], axis=1)
+        return out
+
+    block = max(1, _BLOCK_ELEMENTS // max(n, indices.size))
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        dist = np.full((sources.size, n), -1, dtype=np.int64)
+        dist[np.arange(sources.size), sources] = 0
+        sigma = (dist == 0).astype(np.float64)
+        depth = 0
+        while True:
+            paths = neighbour_sum(np.where(dist == depth, sigma, 0.0))
+            found = (dist < 0) & (paths > 0)
+            if not found.any():
+                break
+            depth += 1
+            dist[found], sigma[found] = depth, paths[found]
+
+        reached = (dist >= 0).sum(axis=1) - 1
+        some = reached > 0
+        total = np.maximum(dist, 0).sum(axis=1)[some]
+        closeness[sources[some]] = (reached[some] / (n - 1)) * (reached[some] / total)
+
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 1, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d)
+            parents = dist == d - 1
+            delta[parents] = sigma[parents] * neighbour_sum(share)[parents]
+        betweenness += delta.sum(axis=0)
+    betweenness *= 0.5
+    return closeness, betweenness

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,9 @@ _DEFAULTS = {
     "synth_format": "jsonl",
 }
 
+_BALANCE = {"1": True, "true": True, "yes": True, "downsample": True,
+            "0": False, "false": False, "no": False}
+
 
 def load_config(path):
     """Flat key=value config file; '#' starts a comment; unknown keys rejected."""
@@ -72,7 +76,28 @@ def load_config(path):
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} at line {line_no}")
         cfg[key] = value.strip()
+    for key, value in cfg.items():
+        _check_value(key, value)
     return cfg
+
+
+def _check_value(key, value):
+    """ConfigError unless a numeric key parses, finite, as the type of its default,
+    seed is non-negative and balance is a known spelling."""
+    default = _DEFAULTS[key]
+    kind = int if default.isdigit() else float if default.replace(".", "", 1).isdigit() else None
+    try:
+        ok = kind is None or math.isfinite(kind(value))
+    except ValueError:
+        ok = False
+    if not ok:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
+    if key == "seed" and int(value) < 0:
+        raise ConfigError(f"config key 'seed' must be non-negative, got {value}")
+    if key == "balance" and value.lower() not in _BALANCE:
+        raise ConfigError(f"config key 'balance' must be one of {', '.join(_BALANCE)}, "
+                          f"got {value!r}")
 
 
 def _prop_config(cfg):
@@ -295,7 +320,7 @@ def _read_dataset(out_dir):
 def stage_train(cfg, out_dir, seed):
     X, y = _read_dataset(out_dir)
     hyper = _hyper(cfg)
-    balance = cfg["balance"].lower() in ("1", "true", "yes", "downsample")
+    balance = _BALANCE[cfg["balance"].lower()]
     for key, preset in zip(model.PRESET_KEYS, model.table2_presets()):
         report = model.monte_carlo_cv(
             X, y, preset,
@@ -372,7 +397,10 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg["out"]
-        seed = args.seed if args.seed is not None else int(cfg["seed"])
+        if args.seed is not None:
+            cfg["seed"] = str(args.seed)
+            _check_value("seed", cfg["seed"])
+        seed = int(cfg["seed"])
         if args.command == "run":
             run_pipeline(cfg, out_dir, seed, quiet=args.quiet)
         else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import community as community_mod
 from . import graph as graph_mod
-from .errors import DegenerateDatasetError, ForumFluxError
+from .errors import DegenerateDatasetError, ForumFluxError, ParseError
 from .evolution import ROLES_BY_TASK, Task
 from .lexifeat import text_measures
 
@@ -80,17 +80,22 @@ class FeatureContext:
     """
 
     def __init__(self, posts, windows, graphs, communities_by_snapshot,
-                 lexicon, patterns, backend=None):
+                 lexicon, patterns):
         self.posts = list(posts)
         self.windows = list(windows)
         self.graphs = {g.snapshot_index: g for g in graphs}
         self.communities = communities_by_snapshot
         self.corpus_start = min(p.created_at for p in self.posts)
+        first, width = self.windows[0].start, self.windows[0].end - self.windows[0].start
+        posted = {((p.created_at - first) // width, p.user_id) for p in self.posts}
+        if posted != {(k, u) for k, g in self.graphs.items() for u in g.nodes}:
+            raise ParseError("the graphs do not hold the users who post in each window: they "
+                             "were built on another window calendar; rerun 'snapshots'")
 
         self.closeness = {}
         self.betweenness = {}
         for idx, g in self.graphs.items():
-            clo, bet = graph_mod.centrality_all(g, backend=backend)
+            clo, bet = graph_mod.centrality_all(g)
             self.closeness[idx] = clo
             self.betweenness[idx] = bet
         self.snapshot_modularity = {
@@ -112,7 +117,7 @@ class FeatureContext:
                 self.user_snapshots.setdefault(user, []).append(idx)
 
     @classmethod
-    def build(cls, posts, window_days, lexicon, patterns, prop_config, backend=None):
+    def build(cls, posts, window_days, lexicon, patterns, prop_config):
         """Run windowing, graphs, and community detection over a corpus."""
         if not posts:
             raise ForumFluxError("cannot build a feature context from an empty corpus")
@@ -121,7 +126,7 @@ class FeatureContext:
         graphs = graph_mod.window_graphs(posts, windows)
         communities = {g.snapshot_index: community_mod.detect_communities(g, prop_config)
                        for g in graphs}
-        return cls(posts, windows, graphs, communities, lexicon, patterns, backend=backend)
+        return cls(posts, windows, graphs, communities, lexicon, patterns)
 
 
 def assemble_features(ctx, user, snapshot_index):

@@ -105,12 +105,12 @@ def _to_csr(graph):
     return order, indptr, np.asarray(indices, dtype=np.int64)
 
 
-def centrality_all(graph, backend=None):
+def centrality_all(graph):
     """(closeness map, betweenness map) over every node of the graph."""
     order, indptr, indices = _to_csr(graph)
     if not order:
         return {}, {}
-    closeness, betweenness = _kernels.centrality_csr(indptr, indices, backend=backend)
+    closeness, betweenness = _kernels.centrality_csr(indptr, indices)
     return (
         {u: float(closeness[i]) for i, u in enumerate(order)},
         {u: float(betweenness[i]) for i, u in enumerate(order)},

@@ -1,12 +1,16 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
+import forumflux
 from forumflux import cli, graph as graph_mod, ingest
 from forumflux.cli import main
 
@@ -70,6 +74,22 @@ class TestStages:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("surprise = 1\n")
         assert run_cli("--config", str(cfg), "--quiet", "synth") == 1
+
+
+@pytest.mark.parametrize("line", ["window_days = 1.5", "synth_signal = nan", "seed = -1",
+                                  "alpha = x", "epochs = 1e3", "balance = on"])
+def test_malformed_config_value_exits_1(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SYNTH_CFG + line + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
+    for command in ("synth", "run"):
+        proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
+                               "--out", str(tmp_path / "out"), "--quiet", command],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert line.split()[0] in proc.stderr
 
 
 class TestFullRun:
@@ -213,3 +233,15 @@ class TestArtifactInterface:
         monkeypatch.setattr(ingest, "corpus_stats", forbidden)
         for stage in ("communities", "roles", "features"):
             assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+
+    def test_features_rejects_graphs_from_another_calendar(self, tmp_path, config_path,
+                                                           capsys):
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest", "snapshots"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        twelve = tmp_path / "twelve.cfg"
+        twelve.write_text(SYNTH_CFG.replace("window_days = 24", "window_days = 12"))
+        for stage in ("communities", "roles"):
+            assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", stage) == 0
+        assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", "features") == 2
+        assert "rerun 'snapshots'" in capsys.readouterr().err

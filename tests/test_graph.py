@@ -5,8 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from forumflux import graph as graph_mod
-from forumflux._kernels import HAVE_NUMBA
+from forumflux import _kernels, graph as graph_mod
 from forumflux.errors import ConfigError, ParseError
 from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
                              edges_csv, graphs_from_csv, window_graphs, window_index)
@@ -164,6 +163,33 @@ def oracle_betweenness(graph):
     return {u: v / 2.0 for u, v in scores.items()}
 
 
+def brandes_reference(graph):
+    """Closeness and betweenness by Brandes' algorithm, one BFS source at a time."""
+    adj = {u: sorted(vs) for u, vs in graph.neighbors().items()}
+    n = len(adj)
+    closeness = {}
+    betweenness = dict.fromkeys(adj, 0.0)
+    for s in adj:
+        dist, sigma, order = {s: 0}, {s: 1}, [s]
+        for v in order:  # order grows while it is read: the BFS queue
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w], sigma[w] = dist[v] + 1, 0
+                    order.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+        r = len(order) - 1
+        closeness[s] = (r / (n - 1)) * (r / sum(dist.values())) if r else 0.0
+        delta = dict.fromkeys(order, 0.0)
+        for w in reversed(order):
+            for v in adj[w]:
+                if dist.get(v) == dist[w] - 1:
+                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                betweenness[w] += delta[w]
+    return closeness, {u: b / 2 for u, b in betweenness.items()}
+
+
 def random_graph(rng, n, p=0.4):
     edges = [(f"n{a}", f"n{b}") for a, b in combinations(range(n), 2) if rng.random() < p]
     return make_graph(edges, extra_nodes=[f"n{i}" for i in range(n)])
@@ -178,6 +204,11 @@ class TestCentralityFixtures:
     def test_isolated_node(self):
         g = make_graph([], extra_nodes=["a"])
         assert centrality_all(g) == ({"a": 0.0}, {"a": 0.0})
+
+    def test_edgeless_graph(self):
+        g = make_graph([], extra_nodes=["a", "b", "c"])
+        zeros = {u: 0.0 for u in "abc"}
+        assert centrality_all(g) == (zeros, zeros)
 
     def test_star_closeness(self):
         g = make_graph([("c", "x"), ("c", "y"), ("c", "z")])
@@ -236,16 +267,35 @@ class TestCentralityOracles:
                         routed += 1
                 assert bet[v] == pytest.approx(routed / 2, abs=1e-9)
 
+    def test_large_graphs_match_brandes_reference(self):
+        # too large for path enumeration: long paths, many components, many levels
+        rng = np.random.default_rng(11)
+        graphs = [random_graph(rng, int(rng.integers(20, 90)), p=float(rng.uniform(0.01, 0.2)))
+                  for _ in range(12)]
+        graphs.append(make_graph([(f"n{i:02d}", f"n{i + 1:02d}") for i in range(60)]))
+        for g in graphs:
+            clo, bet = centrality_all(g)
+            exp_clo, exp_bet = brandes_reference(g)
+            assert clo == exp_clo  # integer path counts and distances: exact
+            for u in g.nodes:
+                assert bet[u] == pytest.approx(exp_bet[u], rel=1e-12, abs=1e-12)
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_bitwise():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        g = random_graph(rng, int(rng.integers(2, 15)))
-        clo_nb, bet_nb = centrality_all(g, backend="numba")
-        clo_py, bet_py = centrality_all(g, backend="numpy")
-        assert clo_nb == clo_py
-        assert bet_nb == bet_py
+
+class SmallSourceBlocks:
+    """Rerun a centrality suite with the kernel's source blocks shrunk, so each graph
+    is swept in several blocks: one source each, or a few sources each."""
+
+    @pytest.fixture(autouse=True, params=[1, 20])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", request.param)
+
+
+class TestCentralityFixturesSmallBlocks(SmallSourceBlocks, TestCentralityFixtures):
+    pass
+
+
+class TestCentralityOraclesSmallBlocks(SmallSourceBlocks, TestCentralityOracles):
+    pass
 
 
 def test_edges_csv_format(day_window):
