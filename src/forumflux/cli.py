@@ -58,26 +58,46 @@ _BALANCE = {"1": True, "true": True, "yes": True, "downsample": True,
 
 
 def load_config(path):
-    """Flat key=value config file; '#' starts a comment; unknown keys rejected."""
+    """Flat key=value config file; '#' starts a comment; unknown keys rejected.
+
+    Every value is checked here, ranges included, so a bad config exits before
+    any stage writes. The result also holds the typed "propinquity" and
+    "hyper" settings, built once.
+    """
     cfg = dict(_DEFAULTS)
-    if path is None:
-        return cfg
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    for line_no, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"bad config line {line_no}: {line!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r} at line {line_no}")
-        cfg[key] = value.strip()
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file not found: {p}")
+        for line_no, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"bad config line {line_no}: {line!r}")
+            key, value = stripped.split("=", 1)
+            key = key.strip()
+            if key not in _DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r} at line {line_no}")
+            cfg[key] = value.strip()
     for key, value in cfg.items():
         _check_value(key, value)
+    if int(cfg["repeats"]) < 1:
+        raise ConfigError(f"config key 'repeats' must be >= 1, got {cfg['repeats']}")
+    if not 0 < float(cfg["train_fraction"]) < 1:
+        raise ConfigError(f"config key 'train_fraction' must lie in (0, 1), "
+                          f"got {cfg['train_fraction']}")
+    cfg["propinquity"] = community_mod.PropinquityConfig(
+        alpha=int(cfg["alpha"]),
+        beta=int(cfg["beta"]),
+        max_iterations=int(cfg["max_iterations"]),
+        min_community_size=int(cfg["min_community_size"]),
+    )
+    cfg["hyper"] = model.Hyper(
+        learning_rate=float(cfg["learning_rate"]),
+        epochs=int(cfg["epochs"]),
+        l2_lambda=float(cfg["l2_lambda"]),
+    )
     return cfg
 
 
@@ -98,23 +118,6 @@ def _check_value(key, value):
     if key == "balance" and value.lower() not in _BALANCE:
         raise ConfigError(f"config key 'balance' must be one of {', '.join(_BALANCE)}, "
                           f"got {value!r}")
-
-
-def _prop_config(cfg):
-    return community_mod.PropinquityConfig(
-        alpha=int(cfg["alpha"]),
-        beta=int(cfg["beta"]),
-        max_iterations=int(cfg["max_iterations"]),
-        min_community_size=int(cfg["min_community_size"]),
-    )
-
-
-def _hyper(cfg):
-    return model.Hyper(
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]),
-        l2_lambda=float(cfg["l2_lambda"]),
-    )
 
 
 def _task(cfg):
@@ -243,10 +246,9 @@ def _read_graphs(cfg, out_dir):
 
 def stage_communities(cfg, out_dir, seed):
     del seed
-    config = _prop_config(cfg)
     communities = []
     for g in _read_graphs(cfg, out_dir)[1]:
-        communities.extend(community_mod.detect_communities(g, config))
+        communities.extend(community_mod.detect_communities(g, cfg["propinquity"]))
     _write(Path(out_dir) / "communities.csv", community_mod.communities_csv(communities))
 
 
@@ -319,14 +321,13 @@ def _read_dataset(out_dir):
 
 def stage_train(cfg, out_dir, seed):
     X, y = _read_dataset(out_dir)
-    hyper = _hyper(cfg)
     balance = _BALANCE[cfg["balance"].lower()]
     for key, preset in zip(model.PRESET_KEYS, model.table2_presets()):
         report = model.monte_carlo_cv(
             X, y, preset,
             repeats=int(cfg["repeats"]),
             train_fraction=float(cfg["train_fraction"]),
-            hyper=hyper,
+            hyper=cfg["hyper"],
             seed=seed,
             balance=balance,
         )

@@ -116,18 +116,6 @@ class FeatureContext:
             for user in self.graphs[idx].nodes:
                 self.user_snapshots.setdefault(user, []).append(idx)
 
-    @classmethod
-    def build(cls, posts, window_days, lexicon, patterns, prop_config):
-        """Run windowing, graphs, and community detection over a corpus."""
-        if not posts:
-            raise ForumFluxError("cannot build a feature context from an empty corpus")
-        times = [p.created_at for p in posts]
-        windows = graph_mod.build_windows(min(times), max(times), window_days)
-        graphs = graph_mod.window_graphs(posts, windows)
-        communities = {g.snapshot_index: community_mod.detect_communities(g, prop_config)
-                       for g in graphs}
-        return cls(posts, windows, graphs, communities, lexicon, patterns)
-
 
 def assemble_features(ctx, user, snapshot_index):
     """The 18-feature vector for a user at a feature snapshot."""

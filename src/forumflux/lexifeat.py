@@ -38,6 +38,7 @@ class Lexicon:
     entries: tuple  # of (pattern, category)
     _exact: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     _prefixes: tuple = field(init=False, default=(), repr=False, compare=False)
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         exact = {}
@@ -58,19 +59,26 @@ class Lexicon:
 
     def categories_for(self, token):
         """Categories a token matches; exact entries shadow prefix entries."""
-        if token in self._exact:
-            return self._exact[token]
-        return {cat for stem, cat in self._prefixes if token.startswith(stem)}
+        cats = self._memo.get(token)
+        if cats is None:
+            cats = frozenset(self._exact[token] if token in self._exact else
+                             (cat for stem, cat in self._prefixes if token.startswith(stem)))
+            self._memo[token] = cats
+        return cats
 
 
 @dataclass(frozen=True)
 class IntentPatterns:
     phrases: tuple  # of tuples of lowercase tokens, each length >= 2
+    _by_first: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for phrase in self.phrases:
             if len(phrase) < 2 or not all(phrase):
                 raise ConfigError(f"intent phrase must have >= 2 non-empty tokens: {phrase!r}")
+        # first token -> phrases starting with it, longest first
+        for phrase in sorted(self.phrases, key=len, reverse=True):
+            self._by_first.setdefault(phrase[0], []).append(phrase)
 
 
 def load_lexicon(lines):
@@ -115,14 +123,13 @@ def count_category(tokens, lexicon, categories):
 
 def count_intents(tokens, patterns):
     """Non-overlapping left-to-right phrase matches, longest phrase first."""
-    by_length = sorted(patterns.phrases, key=len, reverse=True)
     count = 0
     i = 0
     n = len(tokens)
     while i < n:
-        for phrase in by_length:
+        for phrase in patterns._by_first.get(tokens[i], ()):
             k = len(phrase)
-            if i + k <= n and tuple(tokens[i:i + k]) == phrase:
+            if tuple(tokens[i:i + k]) == phrase:
                 count += 1
                 i += k
                 break

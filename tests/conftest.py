@@ -2,8 +2,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from forumflux.community import Community
-from forumflux.graph import InteractionGraph, SnapshotWindow
+from forumflux.community import Community, detect_communities
+from forumflux.featureset import FeatureContext
+from forumflux.graph import InteractionGraph, SnapshotWindow, build_windows, window_graphs
 from forumflux.ingest import PostRecord
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -26,6 +27,15 @@ def make_graph(edges, snapshot_index=0, extra_nodes=()):
         edge_map[(a, b)] = w
     return InteractionGraph(snapshot_index=snapshot_index, nodes=frozenset(nodes),
                             edges=edge_map)
+
+
+def feature_context(posts, window_days, lexicon, patterns, prop_config):
+    """Windows, graphs and communities of a corpus, as the pipeline stages build them."""
+    times = [p.created_at for p in posts]
+    windows = build_windows(min(times), max(times), window_days)
+    graphs = window_graphs(posts, windows)
+    communities = {g.snapshot_index: detect_communities(g, prop_config) for g in graphs}
+    return FeatureContext(posts, windows, graphs, communities, lexicon, patterns)
 
 
 def make_community(members, community_id=0, snapshot_index=0):

@@ -19,7 +19,7 @@ from forumflux.community import PropinquityConfig, detect_communities, modularit
 from forumflux.evolution import Role, Task, label_all, label_roles, match_communities
 from forumflux.graph import build_windows, centrality_all
 
-from conftest import TWO_TRIANGLES_BRIDGE, make_community, make_graph
+from conftest import TWO_TRIANGLES_BRIDGE, feature_context, make_community, make_graph
 from test_graph import oracle_betweenness, oracle_closeness, random_graph
 
 
@@ -164,7 +164,7 @@ def test_criterion_7_separable_data():
 def _pipeline_f_measure(strength, seed=7, repeats=20):
     posts = ingest.generate_synthetic_forum(
         seed, ingest.SynthParams(churn_signal_strength=strength))
-    ctx = featureset.FeatureContext.build(
+    ctx = feature_context(
         posts, 24, lexifeat.default_lexicon(), lexifeat.default_intent_patterns(),
         PropinquityConfig())
     examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)

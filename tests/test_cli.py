@@ -92,6 +92,25 @@ def test_malformed_config_value_exits_1(tmp_path, line):
         assert line.split()[0] in proc.stderr
 
 
+@pytest.mark.parametrize("line", ["repeats = 0", "train_fraction = 1", "epochs = 0", "beta = 1"])
+def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(ingest.serialize_posts(
+        ingest.generate_synthetic_forum(7, ingest.SynthParams(n_users=60, n_threads=96,
+                                                              n_windows=5)), "jsonl"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SYNTH_CFG + f"input = {corpus}\n" + line + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"), "--quiet", "run"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert line.split()[0] in proc.stderr
+    assert not (tmp_path / "out" / "posts.jsonl").exists()
+
+
 class TestFullRun:
     def test_run_produces_all_artifacts(self, tmp_path, config_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,75 @@ from conftest import TWO_TRIANGLES_BRIDGE, make_community, make_graph
 
 def adjacency_of(edges, extra_nodes=()):
     return make_graph(edges, extra_nodes=extra_nodes).neighbors()
+
+
+def reference_step(adjacency, config):
+    """One synchronous update over every pair that is adjacent or shares a neighbor."""
+    pairs = {(u, v) for u, neigh in adjacency.items() for v in neigh if u < v}
+    for neigh in adjacency.values():
+        pairs.update(combinations(sorted(neigh), 2))
+    new = {u: set() for u in adjacency}
+    for (u, v) in pairs:
+        p = propinquity(adjacency, u, v)
+        if p > config.alpha if v in adjacency[u] else p >= config.beta:
+            new[u].add(v)
+            new[v].add(u)
+    return new
+
+
+def propinquity_reference(graph, config):
+    """The propinquity dynamic as a set-based loop over candidate pairs.
+
+    Keeps edges with propinquity > alpha and inserts non-edges with
+    propinquity >= beta; stops on a fixed point, a repeated topology (the
+    input graph counts as seen) or max_iterations.
+    """
+    adjacency = graph.neighbors()
+    seen = {frozenset(map(frozenset, graph.edges))}
+    for _ in range(config.max_iterations):
+        adjacency = reference_step(adjacency, config)
+        fingerprint = frozenset(frozenset((u, v)) for u in adjacency for v in adjacency[u])
+        if fingerprint in seen:
+            break
+        seen.add(fingerprint)
+    comps, done = [], set()
+    for start in sorted(adjacency):
+        if start in done:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adjacency[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        done |= comp
+        if len(comp) >= config.min_community_size:
+            comps.append(frozenset(comp))
+    return sorted(comps, key=min)
+
+
+def random_graph(rng, n, p):
+    nodes = [f"n{i:02d}" for i in range(n)]
+    edges = [(a, b) for a, b in combinations(nodes, 2) if rng.random() < p]
+    return make_graph(edges, extra_nodes=nodes)
+
+
+def star_graph(n_leaves, extra_edges=()):
+    return make_graph([("hub", f"l{i:02d}") for i in range(n_leaves)] + list(extra_edges))
+
+
+def hub_graph(rng, n, n_hubs, p):
+    """Hubs linked to most nodes, sparse links elsewhere."""
+    nodes = [f"n{i:02d}" for i in range(n)]
+    edges = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+             if rng.random() < (0.8 if i < n_hubs else p)]
+    return make_graph(edges, extra_nodes=nodes)
+
+
+def assert_matches_reference(graph, config):
+    got = detect_communities(graph, config)
+    assert [c.members for c in got] == propinquity_reference(graph, config)
+    assert [c.community_id for c in got] == list(range(len(got)))
+    assert all(c.snapshot_index == graph.snapshot_index for c in got)
 
 
 class TestPropinquity:
@@ -93,6 +163,122 @@ class TestDetectCommunities:
             PropinquityConfig(alpha=3, beta=3)
         with pytest.raises(ConfigError):
             PropinquityConfig(max_iterations=0)
+
+
+class TestMatrixStepMatchesReference:
+    """detect_communities against the set-based loop it replaced."""
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(2, 81))
+            g = random_graph(rng, n, float(rng.uniform(0.02, 0.5)))
+            assert_matches_reference(g, PropinquityConfig(min_community_size=int(rng.integers(1, 5))))
+
+    def test_random_configs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            g = random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)))
+            alpha = int(rng.integers(0, 4))
+            config = PropinquityConfig(alpha=alpha, beta=alpha + int(rng.integers(1, 5)),
+                                       max_iterations=int(rng.integers(1, 6)),
+                                       min_community_size=int(rng.integers(1, 4)))
+            assert_matches_reference(g, config)
+
+    def test_stars_and_hubs(self):
+        rng = np.random.default_rng(13)
+        for n_leaves in (1, 2, 3, 10, 40):
+            for config in (DEFAULT, PropinquityConfig(alpha=0, beta=1, min_community_size=1)):
+                assert_matches_reference(star_graph(n_leaves), config)
+                assert_matches_reference(
+                    star_graph(n_leaves, [(f"l{i:02d}", f"l{i + 1:02d}")
+                                          for i in range(0, n_leaves - 1, 2)]), config)
+        for _ in range(20):
+            g = hub_graph(rng, int(rng.integers(10, 70)), int(rng.integers(1, 5)), 0.05)
+            assert_matches_reference(g, PropinquityConfig(alpha=int(rng.integers(0, 3)),
+                                                          beta=3, min_community_size=1))
+
+    def test_iteration_cap(self):
+        # a 2-leaf star (path) closes into a triangle at alpha=0, beta=1 and a
+        # dense random graph keeps moving for several steps
+        rng = np.random.default_rng(14)
+        graphs = [star_graph(2), star_graph(12)] + [random_graph(rng, 30, 0.3) for _ in range(10)]
+        for g in graphs:
+            for cap in (1, 2):
+                for alpha, beta in ((0, 1), (1, 3), (2, 4)):
+                    assert_matches_reference(g, PropinquityConfig(
+                        alpha=alpha, beta=beta, max_iterations=cap, min_community_size=1))
+
+    def test_cap_decides_result(self):
+        # path a-b-c at alpha=0, beta=1: step 1 inserts a-c, so a cap of 1
+        # already gives the triangle; with beta=2 the path is a fixed point
+        path = make_graph([("a", "b"), ("b", "c")])
+        config = PropinquityConfig(alpha=0, beta=1, max_iterations=1, min_community_size=1)
+        assert [c.members for c in detect_communities(path, config)] == [frozenset("abc")]
+        assert_matches_reference(path, config)
+        # a square at alpha=1: step 1 cuts every edge (propinquity 1) and inserts
+        # both diagonals (2 common neighbors); step 2 cuts them again
+        square = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        for cap in (1, 2, 3):
+            cfg = PropinquityConfig(alpha=1, beta=2, max_iterations=cap, min_community_size=1)
+            assert_matches_reference(square, cfg)
+        step1 = PropinquityConfig(alpha=1, beta=2, max_iterations=1, min_community_size=2)
+        assert [c.members for c in detect_communities(square, step1)] == \
+            [frozenset("ac"), frozenset("bd")]
+        assert detect_communities(square, replace(step1, max_iterations=2)) == []
+
+    def test_cycle_stops_on_repeated_topology(self):
+        # at alpha=1, beta=2 this graph goes to another topology and back
+        g = make_graph([("a", "b"), ("a", "e"), ("a", "f"), ("b", "e"),
+                        ("c", "d"), ("c", "e"), ("c", "f"), ("d", "f")])
+        for min_size in (1, 3):
+            config = PropinquityConfig(alpha=1, beta=2, min_community_size=min_size)
+            once = reference_step(g.neighbors(), config)
+            assert once != g.neighbors() and reference_step(once, config) == g.neighbors()
+            for cap in (1, 2, 3, 4, 20):
+                assert_matches_reference(g, replace(config, max_iterations=cap))
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            g = random_graph(rng, int(rng.integers(4, 16)), 0.3)
+            assert_matches_reference(g, PropinquityConfig(alpha=1, beta=2, max_iterations=20,
+                                                          min_community_size=1))
+
+    def test_iterations_only_split_components(self):
+        # an inserted pair shares a neighbor, so each step refines the
+        # partition; a cycle therefore ends on the partition it started from
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(4, 40)), 0.2)
+            coarse = None
+            for cap in range(1, 6):
+                config = PropinquityConfig(alpha=1, beta=2, max_iterations=cap,
+                                           min_community_size=1)
+                fine = [c.members for c in detect_communities(g, config)]
+                if coarse is not None:
+                    assert all(any(f <= c for c in coarse) for f in fine)
+                coarse = fine
+
+    def test_alpha_zero_large_beta_isolated_nodes(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(2, 30)), 0.15)
+            g = make_graph(list(g.edges), extra_nodes=set(g.nodes) | {"zz0", "zz1"})
+            for config in (PropinquityConfig(alpha=0, beta=1, min_community_size=1),
+                           PropinquityConfig(alpha=0, beta=1000, min_community_size=1),
+                           PropinquityConfig(alpha=5, beta=1000, min_community_size=1),
+                           PropinquityConfig(alpha=0, beta=2, min_community_size=2)):
+                got = detect_communities(g, config)
+                assert [c.members for c in got] == propinquity_reference(g, config)
+                if config.min_community_size == 1:
+                    assert {frozenset(["zz0"]), frozenset(["zz1"])} <= {c.members for c in got}
+
+    def test_edgeless_and_single_node(self):
+        for nodes in (["a"], ["a", "b", "c"]):
+            g = make_graph([], extra_nodes=nodes)
+            config = PropinquityConfig(min_community_size=1)
+            assert [c.members for c in detect_communities(g, config)] == \
+                [frozenset([u]) for u in nodes]
+            assert_matches_reference(g, config)
 
 
 class TestModularity:

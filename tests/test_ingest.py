@@ -9,7 +9,7 @@ from forumflux import ingest
 from forumflux.errors import ConfigError, EmptyCorpusError, ParseError
 from forumflux.ingest import PostRecord, SynthParams
 
-from conftest import T0, make_post
+from conftest import T0, feature_context, make_post
 
 
 def parse_bytes(data, fmt):
@@ -162,9 +162,8 @@ def test_no_signal_distributions_indistinguishable():
 
     from forumflux import community, featureset, lexifeat
     posts = ingest.generate_synthetic_forum(11, SynthParams(churn_signal_strength=0.0))
-    ctx = featureset.FeatureContext.build(posts, 24, lexifeat.default_lexicon(),
-                                          lexifeat.default_intent_patterns(),
-                                          community.PropinquityConfig())
+    ctx = feature_context(posts, 24, lexifeat.default_lexicon(),
+                          lexifeat.default_intent_patterns(), community.PropinquityConfig())
     from forumflux.evolution import Task, label_all
     examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
     assert len(examples) >= 1000

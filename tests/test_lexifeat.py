@@ -132,3 +132,40 @@ def test_removing_entry_never_increases_counts(body, drop_index):
     tokens = tokenize(body)
     assert (count_category(tokens, reduced, ALL_CATEGORIES)
             <= count_category(tokens, SMALL_LEX, ALL_CATEGORIES))
+
+
+def intents_reference(tokens, patterns):
+    """Longest-first scan over every phrase at every position, no index."""
+    by_length = sorted(patterns.phrases, key=len, reverse=True)
+    count = i = 0
+    while i < len(tokens):
+        for phrase in by_length:
+            if tuple(tokens[i:i + len(phrase)]) == phrase:
+                count += 1
+                i += len(phrase)
+                break
+        else:
+            i += 1
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["i", "am", "going", "to", "will", "we", "go"]), max_size=30))
+def test_count_intents_matches_reference(tokens):
+    patterns = IntentPatterns(phrases=(("i", "am"), ("we", "will"), ("i", "am", "going", "to"),
+                                       ("i", "will"), ("am", "going"), ("to", "go", "to")))
+    assert count_intents(tokens, patterns) == intents_reference(tokens, patterns)
+
+
+def test_categories_for_is_stable_under_repeated_lookup():
+    lex = default_lexicon()
+    tokens = tokenize("happy happily thinking think stone wonder wondering sad sadness") * 2
+    exact = {}
+    for pattern, category in lex.entries:
+        if not pattern.endswith("*"):
+            exact.setdefault(pattern, set()).add(category)
+    for tok in tokens:
+        expected = exact.get(tok) or {cat for pat, cat in lex.entries
+                                      if pat.endswith("*") and tok.startswith(pat[:-1])}
+        assert lex.categories_for(tok) == expected
+    assert lex == default_lexicon()
