@@ -1,11 +1,13 @@
 """Pipeline orchestration: config file, stage subcommands, artifact files.
 
-Every stage reads plain CSV/JSON artifacts from the output directory and
-writes its own, so the pipeline can be resumed or inspected at any point.
-Window graphs are built once, by `snapshots`, and read back from
-graphs/edges.csv; the window calendar is read from corpus_stats.json.
-`run` executes all stages in order; identical config + inputs produce a
-byte-identical artifact tree.
+`load_config` parses the config file once into a frozen, typed `Config` and
+checks every value there, ranges included, so a bad config exits 1 before
+any stage writes, whatever the command. Each stage is `stage_x(cfg, out_dir)`:
+it reads plain CSV/JSON artifacts from the output directory and writes its
+own, so the pipeline can be resumed or inspected at any point. Window graphs
+are built once, by `snapshots`, and read back from graphs/edges.csv; the
+window calendar is read from corpus_stats.json. `run` executes all stages in
+order; identical config + inputs produce a byte-identical artifact tree.
 
 Exit codes: 0 success, 1 usage/config, 2 data error, 3 modeling error.
 """
@@ -13,58 +15,85 @@ Exit codes: 0 success, 1 usage/config, 2 data error, 3 modeling error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
+import re
 import sys
+from collections import defaultdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import community as community_mod
 from . import evolution, featureset, graph as graph_mod, ingest, lexifeat, model
-from .errors import (ConfigError, DegenerateDatasetError, ForumFluxError,
-                     MissingArtifactError, ParseError, TrainingError)
+from .errors import ConfigError, ForumFluxError, MissingArtifactError, ParseError, TrainingError
 
-_DEFAULTS = {
-    "input": "",
-    "format": "jsonl",
-    "window_days": "24",
-    "alpha": "1",
-    "beta": "3",
-    "max_iterations": "20",
-    "min_community_size": "3",
-    "lexicon": "",
-    "intents": "",
-    "task": "LeaveVsStay",
-    "learning_rate": "0.1",
-    "epochs": "500",
-    "l2_lambda": "0.01",
-    "repeats": "20",
-    "train_fraction": "0.7",
-    "seed": "0",
-    "balance": "false",
-    "out": "out",
-    "synth_n_users": "240",
-    "synth_n_threads": "384",
-    "synth_n_windows": "12",
-    "synth_signal": "1.0",
-    "synth_format": "jsonl",
-}
-
+_FORMATS = ("jsonl", "csv")
 _BALANCE = {"1": True, "true": True, "yes": True, "downsample": True,
             "0": False, "false": False, "no": False}
 
 
-def load_config(path):
-    """Flat key=value config file; '#' starts a comment; unknown keys rejected.
+@dataclass(frozen=True)
+class Config:
+    """Every setting of a pipeline run, typed; `load_config` builds it."""
+    input: str = ""
+    format: str = "jsonl"
+    lexicon: str = ""
+    intents: str = ""
+    task: evolution.Task = evolution.Task.LEAVE_VS_STAY
+    repeats: int = 20
+    train_fraction: float = 0.7
+    seed: int = 0
+    balance: bool = False
+    out: str = "out"
+    synth_format: str = "jsonl"
+    propinquity: community_mod.PropinquityConfig = community_mod.PropinquityConfig()
+    hyper: model.Hyper = model.Hyper()
+    synth: ingest.SynthParams = ingest.SynthParams()
 
-    Every value is checked here, ranges included, so a bad config exits before
-    any stage writes. The result also holds the typed "propinquity" and
-    "hyper" settings, built once.
+    def __post_init__(self):
+        for key, ok, rule in (("format", self.format in _FORMATS, "jsonl or csv"),
+                              ("synth_format", self.synth_format in _FORMATS, "jsonl or csv"),
+                              ("repeats", self.repeats >= 1, ">= 1"),
+                              ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)"),
+                              ("seed", self.seed >= 0, "non-negative")):
+            if not ok:
+                raise ConfigError(f"config key {key!r} must be {rule}, "
+                                  f"got {getattr(self, key)!r}")
+
+    @property
+    def window_days(self):
+        """Width of the window calendar, in days; the generator uses the same width."""
+        return self.synth.window_days
+
+
+_DEFAULT = Config()
+
+# config file key -> its Config field, a dotted name for a field of a nested setting
+_KEYS = {
+    "input": "input", "format": "format", "lexicon": "lexicon", "intents": "intents",
+    "task": "task", "repeats": "repeats", "train_fraction": "train_fraction", "seed": "seed",
+    "balance": "balance", "out": "out", "synth_format": "synth_format",
+    "alpha": "propinquity.alpha", "beta": "propinquity.beta",
+    "max_iterations": "propinquity.max_iterations",
+    "min_community_size": "propinquity.min_community_size",
+    "learning_rate": "hyper.learning_rate", "epochs": "hyper.epochs",
+    "l2_lambda": "hyper.l2_lambda",
+    "window_days": "synth.window_days", "synth_n_users": "synth.n_users",
+    "synth_n_threads": "synth.n_threads", "synth_n_windows": "synth.n_windows",
+    "synth_signal": "synth.churn_signal_strength",
+}
+
+
+def load_config(path, *, overrides=()):
+    """The Config of a flat key = value file; '#' starts a comment.
+
+    path None means all defaults. overrides are (key, text) pairs applied
+    after the file, parsed like its lines. Unknown keys are rejected, each
+    value is parsed as the type of its key's default, and the range checks of
+    Config, PropinquityConfig, Hyper and SynthParams run here: every problem
+    is a ConfigError naming the key, raised before any stage runs.
     """
-    cfg = dict(_DEFAULTS)
+    pairs = []
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -75,79 +104,71 @@ def load_config(path):
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"bad config line {line_no}: {line!r}")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if key not in _DEFAULTS:
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r} at line {line_no}")
-            cfg[key] = value.strip()
-    for key, value in cfg.items():
-        _check_value(key, value)
-    if int(cfg["repeats"]) < 1:
-        raise ConfigError(f"config key 'repeats' must be >= 1, got {cfg['repeats']}")
-    if not 0 < float(cfg["train_fraction"]) < 1:
-        raise ConfigError(f"config key 'train_fraction' must lie in (0, 1), "
-                          f"got {cfg['train_fraction']}")
-    cfg["propinquity"] = community_mod.PropinquityConfig(
-        alpha=int(cfg["alpha"]),
-        beta=int(cfg["beta"]),
-        max_iterations=int(cfg["max_iterations"]),
-        min_community_size=int(cfg["min_community_size"]),
-    )
-    cfg["hyper"] = model.Hyper(
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]),
-        l2_lambda=float(cfg["l2_lambda"]),
-    )
-    return cfg
+            pairs.append((key, value))
+    fields = defaultdict(dict)   # nested setting ("" for Config itself) -> field -> value
+    for key, text in [*pairs, *overrides]:
+        group, _, name = _KEYS[key].rpartition(".")
+        default = getattr(getattr(_DEFAULT, group) if group else _DEFAULT, name)
+        fields[group][name] = _parse(key, default, text)
+    top = fields.pop("", {})
+    for group, values in fields.items():
+        try:
+            top[group] = replace(getattr(_DEFAULT, group), **values)
+        except ConfigError as exc:
+            keys = [k for k, f in _KEYS.items() if f.startswith(group + ".")]
+            named = [k for k in keys if re.search(rf"\b{_KEYS[k].partition('.')[2]}\b", str(exc))]
+            raise ConfigError(f"config key {' and '.join(map(repr, named or keys))}: "
+                              f"{exc}") from None
+    return Config(**top)
 
 
-def _check_value(key, value):
-    """ConfigError unless a numeric key parses, finite, as the type of its default,
-    seed is non-negative and balance is a known spelling."""
-    default = _DEFAULTS[key]
-    kind = int if default.isdigit() else float if default.replace(".", "", 1).isdigit() else None
+def _parse(key, default, text):
+    """text as the type of default: bool and Task by spelling, numbers finite."""
+    if isinstance(default, (bool, evolution.Task)):
+        choices = _BALANCE if isinstance(default, bool) else {t.value: t for t in evolution.Task}
+        for spelling, value in choices.items():
+            if spelling.lower() == text.lower():
+                return value
+        raise ConfigError(f"config key {key!r} must be one of {', '.join(choices)}, "
+                          f"got {text!r}")
+    if isinstance(default, str):
+        return text
     try:
-        ok = kind is None or math.isfinite(kind(value))
+        value = type(default)(text)
     except ValueError:
-        ok = False
-    if not ok:
-        noun = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
-    if key == "seed" and int(value) < 0:
-        raise ConfigError(f"config key 'seed' must be non-negative, got {value}")
-    if key == "balance" and value.lower() not in _BALANCE:
-        raise ConfigError(f"config key 'balance' must be one of {', '.join(_BALANCE)}, "
-                          f"got {value!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        noun = "an integer" if isinstance(default, int) else "a finite number"
+        raise ConfigError(f"config key {key!r} must be {noun}, got {text!r}")
+    return value
 
 
-def _task(cfg):
-    for task in evolution.Task:
-        if task.value.lower() == cfg["task"].lower():
-            return task
-    raise ConfigError(f"unknown task {cfg['task']!r}, expected JoinVsPrevious or LeaveVsStay")
-
-
-def _lexicon(cfg):
-    if cfg["lexicon"]:
-        path = Path(cfg["lexicon"])
-        if not path.exists():
-            raise MissingArtifactError(f"lexicon file not found: {path}")
-        return lexifeat.load_lexicon(path.read_text("utf-8").splitlines())
-    return lexifeat.default_lexicon()
-
-
-def _intents(cfg):
-    if cfg["intents"]:
-        path = Path(cfg["intents"])
-        if not path.exists():
-            raise MissingArtifactError(f"intent phrase file not found: {path}")
-        return lexifeat.load_intent_patterns(path.read_text("utf-8").splitlines())
-    return lexifeat.default_intent_patterns()
+def _word_list(path, what, load, default):
+    """load(lines of path), or default() when path is empty."""
+    if not path:
+        return default()
+    if not Path(path).exists():
+        raise MissingArtifactError(f"{what} file not found: {path}")
+    return load(Path(path).read_text("utf-8").splitlines())
 
 
 def _require(path, producer):
     if not Path(path).exists():
         raise MissingArtifactError(f"missing artifact {path}; run '{producer}' first")
+
+
+def _read_csv(out_dir, name, producer, reader, *args):
+    """reader(fh, *args) over the CSV artifact name, which stage producer writes."""
+    path = Path(out_dir) / name
+    _require(path, producer)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return reader(fh, *args)
+        except ForumFluxError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def _canonical_posts_path(out_dir):
@@ -174,25 +195,16 @@ def _write(path, data):
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_synth(cfg, out_dir, seed):
-    params = ingest.SynthParams(
-        n_users=int(cfg["synth_n_users"]),
-        n_threads=int(cfg["synth_n_threads"]),
-        n_windows=int(cfg["synth_n_windows"]),
-        window_days=int(cfg["window_days"]),
-        churn_signal_strength=float(cfg["synth_signal"]),
-    )
-    posts = ingest.generate_synthetic_forum(seed, params)
-    fmt = cfg["synth_format"]
-    suffix = "jsonl" if fmt == "jsonl" else "csv"
-    _write(Path(out_dir) / f"posts.{suffix}", ingest.serialize_posts(posts, fmt))
+def stage_synth(cfg, out_dir):
+    posts = ingest.generate_synthetic_forum(cfg.seed, cfg.synth)
+    _write(Path(out_dir) / f"posts.{cfg.synth_format}",
+           ingest.serialize_posts(posts, cfg.synth_format))
 
 
-def stage_ingest(cfg, out_dir, seed):
-    del seed
-    if cfg["input"]:
-        path = Path(cfg["input"])
-        fmt = cfg["format"]
+def stage_ingest(cfg, out_dir):
+    if cfg.input:
+        path = Path(cfg.input)
+        fmt = cfg.format
     else:
         path = _canonical_posts_path(out_dir)
         fmt = "jsonl"
@@ -205,14 +217,8 @@ def stage_ingest(cfg, out_dir, seed):
         posts = ingest.parse_posts(fh, fmt)
     stats = ingest.corpus_stats(posts)
     _write(_canonical_posts_path(out_dir), ingest.serialize_posts(posts, "jsonl"))
-    payload = {
-        "post_count": stats.post_count,
-        "user_count": stats.user_count,
-        "thread_count": stats.thread_count,
-        "avg_thread_depth": stats.avg_thread_depth,
-        "first_post": ingest.format_timestamp(stats.first_post),
-        "last_post": ingest.format_timestamp(stats.last_post),
-    }
+    payload = {**asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
+               "last_post": ingest.format_timestamp(stats.last_post)}
     _write(Path(out_dir) / "corpus_stats.json",
            json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -226,116 +232,61 @@ def _windows(cfg, out_dir):
         first, last = (ingest.parse_timestamp(stats[k]) for k in ("first_post", "last_post"))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed {path}: {exc}") from None
-    return graph_mod.build_windows(first, last, int(cfg["window_days"]))
+    return graph_mod.build_windows(first, last, cfg.window_days)
 
 
-def stage_snapshots(cfg, out_dir, seed):
-    del seed
+def stage_snapshots(cfg, out_dir):
     graphs = graph_mod.window_graphs(_load_posts(out_dir), _windows(cfg, out_dir))
     _write(Path(out_dir) / "graphs" / "edges.csv", graph_mod.edges_csv(graphs))
 
 
 def _read_graphs(cfg, out_dir):
     """(windows, one graph per window) from graphs/edges.csv."""
-    path = Path(out_dir) / "graphs" / "edges.csv"
-    _require(path, "snapshots")
     windows = _windows(cfg, out_dir)
-    with open(path, newline="", encoding="utf-8") as fh:
-        return windows, graph_mod.graphs_from_csv(fh, windows)
-
-
-def stage_communities(cfg, out_dir, seed):
-    del seed
-    communities = []
-    for g in _read_graphs(cfg, out_dir)[1]:
-        communities.extend(community_mod.detect_communities(g, cfg["propinquity"]))
-    _write(Path(out_dir) / "communities.csv", community_mod.communities_csv(communities))
+    return windows, _read_csv(out_dir, "graphs/edges.csv", "snapshots",
+                              graph_mod.graphs_from_csv, windows)
 
 
 def _read_communities(out_dir):
-    path = Path(out_dir) / "communities.csv"
-    _require(path, "communities")
-    by_key = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (int(row["snapshot_index"]), int(row["community_id"]))
-            by_key.setdefault(key, set()).add(row["user_id"])
-    by_snapshot = {}
-    for (snap, cid), members in sorted(by_key.items()):
-        by_snapshot.setdefault(snap, []).append(
-            community_mod.Community(snapshot_index=snap, community_id=cid,
-                                    members=frozenset(members)))
-    return by_snapshot
+    return _read_csv(out_dir, "communities.csv", "communities",
+                     community_mod.communities_from_csv)
 
 
-def stage_roles(cfg, out_dir, seed):
-    del cfg, seed
-    by_snapshot = _read_communities(out_dir)
-    labels = evolution.label_all(by_snapshot)
+def stage_communities(cfg, out_dir):
+    communities = []
+    for g in _read_graphs(cfg, out_dir)[1]:
+        communities.extend(community_mod.detect_communities(g, cfg.propinquity))
+    _write(Path(out_dir) / "communities.csv", community_mod.communities_csv(communities))
+
+
+def stage_roles(cfg, out_dir):
+    labels = evolution.label_all(_read_communities(out_dir))
     _write(Path(out_dir) / "roles.csv", evolution.roles_csv(labels))
 
 
-def _read_roles(out_dir):
-    path = Path(out_dir) / "roles.csv"
-    _require(path, "roles")
-    labels = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            labels.append(evolution.RoleLabel(
-                user_id=row["user_id"],
-                snapshot_index=int(row["snapshot_index"]),
-                role=evolution.Role(row["role"]),
-                community_id=int(row["community_id"]),
-            ))
-    return labels
-
-
-def stage_features(cfg, out_dir, seed):
-    del seed
-    labels = _read_roles(out_dir)
+def stage_features(cfg, out_dir):
+    labels = _read_csv(out_dir, "roles.csv", "roles", evolution.roles_from_csv)
     ctx = featureset.FeatureContext(_load_posts(out_dir), *_read_graphs(cfg, out_dir),
-                                    _read_communities(out_dir), _lexicon(cfg), _intents(cfg))
-    examples = featureset.build_dataset(labels, _task(cfg), ctx)
+                                    _read_communities(out_dir),
+                                    _word_list(cfg.lexicon, "lexicon", lexifeat.load_lexicon,
+                                               lexifeat.default_lexicon),
+                                    _word_list(cfg.intents, "intent phrase",
+                                               lexifeat.load_intent_patterns,
+                                               lexifeat.default_intent_patterns))
+    examples = featureset.build_dataset(labels, cfg.task, ctx)
     _write(Path(out_dir) / "dataset.csv", featureset.dataset_csv(examples))
 
 
-def _read_dataset(out_dir):
-    path = Path(out_dir) / "dataset.csv"
-    _require(path, "features")
-    X_rows = []
-    y_rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["task", "snapshot_index", "user_id", "label"] + featureset.FEATURE_NAMES
-        if header != expected:
-            raise ParseError(f"unexpected dataset header in {path}")
-        for row in reader:
-            y_rows.append(float(row[3]))
-            X_rows.append([float(v) for v in row[4:]])
-    if not X_rows:
-        raise DegenerateDatasetError(f"dataset {path} holds no rows")
-    return np.array(X_rows), np.array(y_rows)
-
-
-def stage_train(cfg, out_dir, seed):
-    X, y = _read_dataset(out_dir)
-    balance = _BALANCE[cfg["balance"].lower()]
+def stage_train(cfg, out_dir):
+    X, y = _read_csv(out_dir, "dataset.csv", "features", featureset.dataset_from_csv)
     for key, preset in zip(model.PRESET_KEYS, model.table2_presets()):
-        report = model.monte_carlo_cv(
-            X, y, preset,
-            repeats=int(cfg["repeats"]),
-            train_fraction=float(cfg["train_fraction"]),
-            hyper=cfg["hyper"],
-            seed=seed,
-            balance=balance,
-        )
+        report = model.monte_carlo_cv(X, y, preset, repeats=cfg.repeats,
+                                      train_fraction=cfg.train_fraction, hyper=cfg.hyper,
+                                      seed=cfg.seed, balance=cfg.balance)
         _write(Path(out_dir) / "reports" / f"{key}.json", model.report_json(report))
 
 
-def stage_report(cfg, out_dir, seed):
-    del cfg, seed
+def stage_report(cfg, out_dir):
     reports = []
     for key in model.PRESET_KEYS:
         path = Path(out_dir) / "reports" / f"{key}.json"
@@ -361,13 +312,13 @@ _STAGES = {
 _RUN_ORDER = ["ingest", "snapshots", "communities", "roles", "features", "train", "report"]
 
 
-def run_pipeline(cfg, out_dir, seed, quiet=False):
+def run_pipeline(cfg, out_dir, quiet=False):
     """Execute all stages in order against one output directory."""
     for name in _RUN_ORDER:
         if not quiet:
             print(f"[{name}] running", file=sys.stderr)
         try:
-            _STAGES[name](cfg, out_dir, seed)
+            _STAGES[name](cfg, out_dir)
         except ForumFluxError as exc:
             raise type(exc)(f"stage {name}: {exc}") from exc
 
@@ -379,7 +330,7 @@ def _build_parser():
                     "roles, features, and churn models.",
     )
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+    parser.add_argument("--seed", metavar="N", help="override the config seed")
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,25 +347,16 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config)
-        out_dir = args.out or cfg["out"]
-        if args.seed is not None:
-            cfg["seed"] = str(args.seed)
-            _check_value("seed", cfg["seed"])
-        seed = int(cfg["seed"])
+        seed = () if args.seed is None else [("seed", args.seed)]
+        cfg = load_config(args.config, overrides=seed)
+        out_dir = args.out or cfg.out
         if args.command == "run":
-            run_pipeline(cfg, out_dir, seed, quiet=args.quiet)
+            run_pipeline(cfg, out_dir, quiet=args.quiet)
         else:
-            _STAGES[args.command](cfg, out_dir, seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            _STAGES[args.command](cfg, out_dir)
     except ForumFluxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, TrainingError) else 2
     return 0
 
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ForumFluxError
+from .errors import ConfigError, ForumFluxError, ParseError
+
+COMMUNITY_COLUMNS = ["snapshot_index", "community_id", "user_id"]
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,26 @@ def communities_csv(communities):
     """CSV snapshot_index,community_id,user_id sorted by all three keys."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["snapshot_index", "community_id", "user_id"])
+    writer.writerow(COMMUNITY_COLUMNS)
     writer.writerows(sorted((comm.snapshot_index, comm.community_id, user)
                             for comm in communities for user in comm.members))
     return buf.getvalue()
+
+
+def communities_from_csv(fh):
+    """Inverse of communities_csv: {snapshot_index: communities by community_id}."""
+    reader = csv.reader(fh)
+    if next(reader, None) != COMMUNITY_COLUMNS:
+        raise ParseError(f"community list header must be {','.join(COMMUNITY_COLUMNS)}")
+    members = {}
+    for row in reader:
+        try:
+            snap, cid, user = row
+            key = (int(snap), int(cid))
+        except ValueError:
+            raise ParseError(f"malformed community row at line {reader.line_num}") from None
+        members.setdefault(key, set()).add(user)
+    by_snapshot = {}
+    for (snap, cid), users in sorted(members.items()):
+        by_snapshot.setdefault(snap, []).append(Community(snap, cid, frozenset(users)))
+    return by_snapshot

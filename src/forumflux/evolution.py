@@ -15,6 +15,8 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import ParseError
+
 
 class Role(str, Enum):
     JOINING = "Joining"
@@ -32,6 +34,8 @@ ROLES_BY_TASK = {
     Task.JOIN_VS_PREVIOUS: (Role.JOINING, Role.PREVIOUS),
     Task.LEAVE_VS_STAY: (Role.LEAVING, Role.STAYING),
 }
+
+ROLE_COLUMNS = ["snapshot_index", "user_id", "role", "community_id"]
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,23 @@ def roles_csv(labels):
     """CSV snapshot_index,user_id,role,community_id sorted per the export contract."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["snapshot_index", "user_id", "role", "community_id"])
+    writer.writerow(ROLE_COLUMNS)
     for l in sorted(labels, key=lambda l: (l.snapshot_index, l.role.value, l.user_id)):
         writer.writerow([l.snapshot_index, l.user_id, l.role.value, l.community_id])
     return buf.getvalue()
+
+
+def roles_from_csv(fh):
+    """Inverse of roles_csv: the labels in file order."""
+    reader = csv.reader(fh)
+    if next(reader, None) != ROLE_COLUMNS:
+        raise ParseError(f"role list header must be {','.join(ROLE_COLUMNS)}")
+    labels = []
+    for row in reader:
+        try:
+            snap, user, role, cid = row
+            labels.append(RoleLabel(user_id=user, snapshot_index=int(snap), role=Role(role),
+                                    community_id=int(cid)))
+        except ValueError:
+            raise ParseError(f"malformed role row at line {reader.line_num}") from None
+    return labels

@@ -35,6 +35,7 @@ FEATURE_NAMES = [
 ]
 
 N_FEATURES = len(FEATURE_NAMES)
+DATASET_COLUMNS = ["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,6 @@ class FeatureVector:
     last_betweenness: float
     last_activity: float
     modularity: float
-
-    def to_array(self):
-        return np.array(astuple(self), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -218,20 +216,33 @@ def build_dataset(labels, task, ctx):
     return examples
 
 
-def dataset_to_arrays(examples):
-    """(X, y) float64 arrays in example order."""
-    X = np.stack([ex.features.to_array() for ex in examples])
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
-    return X, y
-
-
 def dataset_csv(examples):
     """CSV task,snapshot_index,user_id,label,<18 feature columns>."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES)
+    writer.writerow(DATASET_COLUMNS)
     ordered = sorted(examples, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
     for ex in ordered:
         writer.writerow([ex.task.value, ex.snapshot_index, ex.user_id, ex.label]
                         + [repr(v) for v in astuple(ex.features)])
     return buf.getvalue()
+
+
+def dataset_from_csv(fh):
+    """(X, y) float64 arrays from a dataset_csv text, in row order."""
+    reader = csv.reader(fh)
+    if next(reader, None) != DATASET_COLUMNS:
+        raise ParseError("dataset header must be task,snapshot_index,user_id,label "
+                         "and the feature names")
+    X, y = [], []
+    for row in reader:
+        try:
+            if len(row) != len(DATASET_COLUMNS):
+                raise ValueError
+            y.append(float(row[3]))
+            X.append([float(v) for v in row[4:]])
+        except ValueError:
+            raise ParseError(f"malformed dataset row at line {reader.line_num}") from None
+    if not X:
+        raise DegenerateDatasetError("the dataset holds no rows")
+    return np.array(X), np.array(y)

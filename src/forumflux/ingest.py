@@ -177,6 +177,17 @@ class SynthParams:
     window_days: int = 24
     churn_signal_strength: float = 1.0
 
+    def __post_init__(self):
+        for name in ("n_threads", "n_windows", "window_days"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_users < 6:
+            # fewer than 6 users leave a community roster too small to rotate half of it
+            raise ConfigError(f"n_users must be at least 6, got {self.n_users}")
+        if self.churn_signal_strength < 0:
+            raise ConfigError("churn_signal_strength must be non-negative, "
+                              f"got {self.churn_signal_strength}")
+
 
 _SYNTH_EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -199,8 +210,6 @@ def _community_rosters(rng, pool, n_windows):
     """
     roster_size = min(14, (2 * len(pool)) // 3)
     roster_size -= roster_size % 2
-    if roster_size < 4:
-        raise ConfigError("n_users too small: need at least 6 users per community")
     turnover = roster_size // 2
     rosters = []
     current = sorted(rng.choice(pool, size=roster_size, replace=False).tolist())
@@ -262,12 +271,6 @@ def generate_synthetic_forum(seed, params=SynthParams()):
     recover it.
     """
     p = params
-    for name in ("n_users", "n_threads", "n_windows", "window_days"):
-        if getattr(p, name) <= 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(p, name)}")
-    if p.churn_signal_strength < 0:
-        raise ConfigError("churn_signal_strength must be non-negative")
-
     rng = np.random.default_rng(seed)
     sentiment_words, cognition_words, phrases = _signal_words()
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see per-criterion output.
 """
 
 import filecmp
+import io
 import time
 from datetime import datetime, timezone
 from itertools import combinations
@@ -168,7 +169,8 @@ def _pipeline_f_measure(strength, seed=7, repeats=20):
         posts, 24, lexifeat.default_lexicon(), lexifeat.default_intent_patterns(),
         PropinquityConfig())
     examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
-    X, y = featureset.dataset_to_arrays(examples)
+    X, y = featureset.dataset_from_csv(io.StringIO(featureset.dataset_csv(examples),
+                                                   newline=""))
     rep = model.monte_carlo_cv(X, y, model.table2_presets()[0],
                                repeats=repeats, seed=0)
     return len(posts), rep.f_measure

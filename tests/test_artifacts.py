@@ -1,4 +1,4 @@
-"""Round trips of every artifact CSV writer through the reader its stage uses.
+"""Round trips of every artifact CSV writer through its module's reader.
 
 User ids are drawn from any text that ingest accepts as an id: non-empty and
 free of carriage returns. Commas, quotes and newlines must survive.
@@ -6,32 +6,25 @@ free of carriage returns. Commas, quotes and newlines must survive.
 
 import csv
 import io
-import tempfile
+from dataclasses import astuple
 from datetime import timedelta
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumflux import cli
-from forumflux.community import Community, communities_csv
-from forumflux.evolution import Role, RoleLabel, Task, roles_csv
-from forumflux.featureset import (N_FEATURES, FeatureVector, LabeledExample, dataset_csv,
-                                  dataset_to_arrays)
+from forumflux.community import Community, communities_csv, communities_from_csv
+from forumflux.evolution import Role, RoleLabel, Task, roles_csv, roles_from_csv
+from forumflux.errors import DegenerateDatasetError, ParseError
+from forumflux.featureset import (DATASET_COLUMNS, N_FEATURES, FeatureVector, LabeledExample,
+                                  dataset_csv, dataset_from_csv)
 from forumflux.graph import InteractionGraph, build_windows, edges_csv, graphs_from_csv
 
 from conftest import T0
 
 user_ids = st.text(min_size=1, max_size=6).filter(lambda s: "\r" not in s)
-
-
-def read_back(name, text, reader):
-    """Write text as the artifact name in a fresh output directory, then read it."""
-    with tempfile.TemporaryDirectory() as out:
-        (Path(out) / name).write_text(text, encoding="utf-8")
-        return reader(out)
 
 
 @st.composite
@@ -63,7 +56,7 @@ def test_communities_round_trip(member_sets):
         for snap, sets in member_sets.items()
     }
     text = communities_csv([c for comms in by_snapshot.values() for c in comms])
-    assert read_back("communities.csv", text, cli._read_communities) == by_snapshot
+    assert communities_from_csv(io.StringIO(text, newline="")) == by_snapshot
 
 
 role_labels = st.builds(RoleLabel, user_id=user_ids, snapshot_index=st.integers(1, 9),
@@ -74,7 +67,7 @@ role_labels = st.builds(RoleLabel, user_id=user_ids, snapshot_index=st.integers(
 @given(st.lists(role_labels, max_size=8))
 def test_roles_round_trip(labels):
     expected = sorted(labels, key=lambda l: (l.snapshot_index, l.role.value, l.user_id))
-    assert read_back("roles.csv", roles_csv(labels), cli._read_roles) == expected
+    assert roles_from_csv(io.StringIO(roles_csv(labels), newline="")) == expected
 
 
 feature_vectors = st.lists(st.floats(allow_nan=False), min_size=N_FEATURES,
@@ -89,9 +82,22 @@ examples = st.builds(LabeledExample, user_id=user_ids, snapshot_index=st.integer
 def test_dataset_round_trip(rows):
     ordered = sorted(rows, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
     text = dataset_csv(rows)
-    X, y = read_back("dataset.csv", text, cli._read_dataset)
-    X_exp, y_exp = dataset_to_arrays(ordered)
-    np.testing.assert_array_equal(X, X_exp)
-    np.testing.assert_array_equal(y, y_exp)
+    X, y = dataset_from_csv(io.StringIO(text, newline=""))
+    np.testing.assert_array_equal(X, [astuple(e.features) for e in ordered])
+    np.testing.assert_array_equal(y, [e.label for e in ordered])
     users = [row[2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
     assert users == [e.user_id for e in ordered]
+
+
+@pytest.mark.parametrize("reader, text, error", [
+    (communities_from_csv, "snapshot_index,user_id\n0,a\n", ParseError),
+    (communities_from_csv, "snapshot_index,community_id,user_id\nx,0,a\n", ParseError),
+    (roles_from_csv, "snapshot_index,user_id,role,community_id\n1,a,Lurking,0\n", ParseError),
+    (roles_from_csv, "snapshot_index,user_id,role,community_id\n1,a,Joining\n", ParseError),
+    (dataset_from_csv, ",".join(DATASET_COLUMNS) + "\nLeaveVsStay,0,a,1,0.5\n", ParseError),
+    (dataset_from_csv, ",".join(DATASET_COLUMNS[:-1]) + "\n", ParseError),
+    (dataset_from_csv, ",".join(DATASET_COLUMNS) + "\n", DegenerateDatasetError),
+])
+def test_malformed_artifact_rejected(reader, text, error):
+    with pytest.raises(error):
+        reader(io.StringIO(text, newline=""))

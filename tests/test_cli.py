@@ -92,7 +92,10 @@ def test_malformed_config_value_exits_1(tmp_path, line):
         assert line.split()[0] in proc.stderr
 
 
-@pytest.mark.parametrize("line", ["repeats = 0", "train_fraction = 1", "epochs = 0", "beta = 1"])
+@pytest.mark.parametrize("line", ["repeats = 0", "train_fraction = 1", "epochs = 0", "beta = 1",
+                                  "window_days = 0", "task = bogus", "format = xml",
+                                  "synth_format = xml", "synth_n_users = 0",
+                                  "synth_n_users = 5"])
 def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(ingest.serialize_posts(
@@ -101,14 +104,38 @@ def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SYNTH_CFG + f"input = {corpus}\n" + line + "\n")
     env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
-                           "--out", str(tmp_path / "out"), "--quiet", "run"],
+    for command in ("synth", "run"):
+        proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
+                               "--out", str(tmp_path / "out"), "--quiet", command],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert line.split()[0] in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_1(tmp_path, config_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", config_path,
+                           "--out", str(tmp_path / "out"), "--quiet", "--seed", "-1", "synth"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
-    assert line.split()[0] in proc.stderr
-    assert not (tmp_path / "out" / "posts.jsonl").exists()
+    assert "seed" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_task_key_is_case_insensitive(tmp_path):
+    cfg = tmp_path / "join.cfg"
+    cfg.write_text(SYNTH_CFG + "task = joinvsprevious\n")
+    out = tmp_path / "out"
+    assert run_cli("--config", str(cfg), "--out", str(out), "--quiet", "synth") == 0
+    assert run_cli("--config", str(cfg), "--out", str(out), "--quiet", "run") == 0
+    with open(out / "dataset.csv", newline="", encoding="utf-8") as fh:
+        tasks = {row["task"] for row in csv.DictReader(fh)}
+    assert tasks == {"JoinVsPrevious"}
 
 
 class TestFullRun:
