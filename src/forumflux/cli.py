@@ -279,10 +279,10 @@ def stage_features(cfg, out_dir):
 
 def stage_train(cfg, out_dir):
     X, y = _read_csv(out_dir, "dataset.csv", "features", featureset.dataset_from_csv)
-    for key, preset in zip(model.PRESET_KEYS, model.table2_presets()):
-        report = model.monte_carlo_cv(X, y, preset, repeats=cfg.repeats,
-                                      train_fraction=cfg.train_fraction, hyper=cfg.hyper,
-                                      seed=cfg.seed, balance=cfg.balance)
+    reports = model.monte_carlo_cv(X, y, model.table2_presets(), repeats=cfg.repeats,
+                                   train_fraction=cfg.train_fraction, hyper=cfg.hyper,
+                                   seed=cfg.seed, balance=cfg.balance)
+    for key, report in zip(model.PRESET_KEYS, reports):
         _write(Path(out_dir) / "reports" / f"{key}.json", model.report_json(report))
 
 

@@ -36,14 +36,6 @@ class InteractionGraph:
     nodes: frozenset        # of user_id
     edges: dict             # (user_a, user_b) with user_a < user_b -> weight
 
-    def neighbors(self):
-        """Adjacency map user_id -> set of user_id."""
-        adj = {u: set() for u in self.nodes}
-        for (a, b) in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
 
 def build_windows(first_post, last_post, window_days):
     """Contiguous window_days-wide windows covering [first_post, last_post]."""

@@ -102,10 +102,14 @@ def parse_posts(stream, fmt):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ParseError(f"malformed JSON at line {line_no}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"malformed row at line {line_no}: expected object")
+            for key in CSV_COLUMNS:  # integers are kept as their decimal text
+                if key in obj and type(obj[key]) not in (str, int):
+                    raise ParseError(f"field {key!r} at line {line_no} must be a string or "
+                                     f"an integer, got {json.dumps(obj[key])[:40]}")
             records.append(_make_record({k: str(v) for k, v in obj.items()}, line_no, seen))
     elif fmt == "csv":
         reader = csv.reader(text)

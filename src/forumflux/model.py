@@ -2,8 +2,10 @@
 
 Training minimizes the L2-regularized mean negative log-likelihood by
 full-batch gradient descent from zero initialization, so a trained model is a
-pure function of its inputs. Feature masks zero out columns before training
-and the corresponding weights stay exactly 0.
+pure function of its inputs. The presets of a CV repeat share its split and
+normalization, so they train as one weight matrix with a row per preset; each
+row's gradient is masked, so masked weights stay exactly 0. Each epoch checks
+that the weights are finite; the loss is computed once per model, at the end.
 """
 
 from __future__ import annotations
@@ -104,28 +106,31 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
     return loss, grad_w, grad_b
 
 
-def train(X, y, mask=None, hyper=Hyper()):
-    """Full-batch gradient descent from zero init; deterministic given inputs."""
-    if mask is None:
-        mask = np.ones(X.shape[1], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+def train(X, y, masks, hyper=Hyper()):
+    """Gradient descent from zero init on one weight matrix, a row per mask;
+    returns one LogisticModel per mask."""
+    M = np.array(masks, dtype=bool)
     pos = int((y == 1).sum())
     neg = int((y == 0).sum())
     if pos == 0 or neg == 0:
         raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
-    Xm = X * mask
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    for epoch in range(hyper.epochs):
-        loss, grad_w, grad_b = loss_and_gradient(w, b, Xm, y, hyper.l2_lambda)
-        if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged to {loss} at epoch {epoch}")
-        w = w - hyper.learning_rate * grad_w
-        b = b - hyper.learning_rate * grad_b
-    w = w * mask
-    if not np.all(np.isfinite(w)) or not np.isfinite(b):
-        raise TrainingError("non-finite weights after training")
-    return LogisticModel(weights=w, bias=b, feature_mask=mask, hyper=hyper)
+    m = X.shape[0]
+    lr, lam = hyper.learning_rate, hyper.l2_lambda
+    W = np.zeros(M.shape)
+    b = np.zeros(len(M))
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises TrainingError
+        for epoch in range(hyper.epochs):
+            E = 1.0 / (1.0 + np.exp(-(W @ X.T + b[:, None]))) - y
+            # where, not a product with M: 0 times a masked column's inf gradient is nan
+            W -= lr * np.where(M, (E @ X) / m + (lam / m) * W, 0.0)
+            b -= lr * E.mean(axis=1)
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise TrainingError(f"weights diverged at epoch {epoch}")
+        losses = [loss_and_gradient(w, bias, X, y, lam)[0] for w, bias in zip(W, b)]
+    if not np.isfinite(losses).all():
+        raise TrainingError(f"final losses {losses} are not all finite")
+    return [LogisticModel(weights=w, bias=float(bias), feature_mask=mask, hyper=hyper)
+            for w, bias, mask in zip(W, b, M)]
 
 
 def evaluate(model, X, y):
@@ -165,13 +170,14 @@ def _downsample_majority(idx, y, rng):
     return np.sort(balanced)
 
 
-def monte_carlo_cv(X, y, preset, repeats=20, train_fraction=0.7, hyper=Hyper(),
+def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
                    seed=0, balance=False):
-    """Repeated stratified random splits; metric means and std-devs.
+    """Repeated stratified random splits; per preset, metric means and std-devs.
 
     Each repeat derives its own generator from (seed, repeat index), so the
-    report is identical under any evaluation order. A split that collapses to
-    a single class is re-drawn, up to 100 times.
+    reports are identical under any evaluation order, and all presets share
+    each repeat's split and normalization. A split that collapses to a single
+    class is re-drawn, up to 100 times.
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
@@ -179,7 +185,7 @@ def monte_carlo_cv(X, y, preset, repeats=20, train_fraction=0.7, hyper=Hyper(),
         raise ConfigError("train_fraction must lie in (0, 1)")
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
-    metrics = {"precision": [], "recall": [], "f_measure": [], "train_accuracy": []}
+    runs = [[] for _ in presets]  # per preset, per repeat: test P, R, F, train accuracy
     for rep in range(repeats):
         rng = np.random.default_rng([seed, rep])
         for attempt in range(100):
@@ -192,24 +198,20 @@ def monte_carlo_cv(X, y, preset, repeats=20, train_fraction=0.7, hyper=Hyper(),
         else:
             raise TrainingError("could not draw a two-class training split in 100 attempts")
         stats = normalize_fit(X[train_idx])
-        model = train(normalize_apply(stats, X[train_idx]), y_train,
-                      mask=preset.feature_mask, hyper=hyper)
-        train_metrics = evaluate(model, normalize_apply(stats, X[train_idx]), y_train)
-        test_metrics = evaluate(model, normalize_apply(stats, X[test_idx]), y[test_idx])
-        metrics["precision"].append(test_metrics["precision"])
-        metrics["recall"].append(test_metrics["recall"])
-        metrics["f_measure"].append(test_metrics["f_measure"])
-        metrics["train_accuracy"].append(train_metrics["accuracy"])
-    mean = {k: float(np.mean(v)) for k, v in metrics.items()}
-    std = {k: float(np.std(v)) for k, v in metrics.items()}
-    return EvalReport(
-        model_name=preset.name,
-        repeats=repeats,
-        precision=mean["precision"], precision_std=std["precision"],
-        recall=mean["recall"], recall_std=std["recall"],
-        f_measure=mean["f_measure"], f_measure_std=std["f_measure"],
-        train_accuracy=mean["train_accuracy"], train_accuracy_std=std["train_accuracy"],
-    )
+        X_train = normalize_apply(stats, X[train_idx])
+        X_test = normalize_apply(stats, X[test_idx])
+        models = train(X_train, y_train, [p.feature_mask for p in presets], hyper)
+        for model, rows in zip(models, runs):
+            test = evaluate(model, X_test, y[test_idx])
+            rows.append((test["precision"], test["recall"], test["f_measure"],
+                         evaluate(model, X_train, y_train)["accuracy"]))
+    reports = []
+    for preset, rows in zip(presets, runs):
+        fields = {}
+        for key, values in zip(("precision", "recall", "f_measure", "train_accuracy"), zip(*rows)):
+            fields[key], fields[key + "_std"] = float(np.mean(values)), float(np.std(values))
+        reports.append(EvalReport(model_name=preset.name, repeats=repeats, **fields))
+    return reports
 
 
 def _mask(excluded):

@@ -29,6 +29,15 @@ def make_graph(edges, snapshot_index=0, extra_nodes=()):
                             edges=edge_map)
 
 
+def neighbors(graph):
+    """Adjacency map user_id -> set of user_id."""
+    adj = {u: set() for u in graph.nodes}
+    for (a, b) in graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def feature_context(posts, window_days, lexicon, patterns, prop_config):
     """Windows, graphs and communities of a corpus, as the pipeline stages build them."""
     times = [p.created_at for p in posts]

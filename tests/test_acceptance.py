@@ -155,7 +155,7 @@ def test_criterion_7_separable_data():
         w_true = rng.normal(size=18)
         y = (X @ w_true > 0).astype(np.float64)
         stats = model.normalize_fit(X)
-        trained = model.train(model.normalize_apply(stats, X), y)
+        trained = model.train(model.normalize_apply(stats, X), y, [np.ones(18, bool)])[0]
         metrics = model.evaluate(trained, model.normalize_apply(stats, X), y)
         assert metrics["f_measure"] >= 0.95
     assert t.elapsed < 5.0
@@ -171,8 +171,8 @@ def _pipeline_f_measure(strength, seed=7, repeats=20):
     examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
     X, y = featureset.dataset_from_csv(io.StringIO(featureset.dataset_csv(examples),
                                                    newline=""))
-    rep = model.monte_carlo_cv(X, y, model.table2_presets()[0],
-                               repeats=repeats, seed=0)
+    rep = model.monte_carlo_cv(X, y, [model.table2_presets()[0]],
+                               repeats=repeats, seed=0)[0]
     return len(posts), rep.f_measure
 
 

@@ -185,6 +185,20 @@ class TestFullRun:
         for rel in artifact_tree(staged):
             assert filecmp.cmp(staged / rel, whole / rel, shallow=False), rel
 
+    def test_diverging_training_exits_3(self, tmp_path, config_path):
+        out = str(tmp_path / "out")
+        for stage in ("synth", "ingest", "snapshots", "communities", "roles", "features"):
+            assert run_cli("--config", config_path, "--out", out, "--quiet", stage) == 0
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(SYNTH_CFG + "learning_rate = 1e300\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
+                               "--out", out, "--quiet", "train"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: weights diverged at epoch "), proc.stderr
+        assert not (Path(out) / "reports").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, config_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("--config", config_path, "--out", str(a), "--quiet", "synth")

@@ -10,7 +10,7 @@ from forumflux.errors import ConfigError, ParseError
 from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
                              edges_csv, graphs_from_csv, window_graphs, window_index)
 
-from conftest import T0, make_graph, make_post
+from conftest import T0, make_graph, make_post, neighbors
 
 UTC = timezone.utc
 
@@ -115,7 +115,7 @@ def bfs_distances(adj, source):
 
 
 def oracle_closeness(graph):
-    adj = graph.neighbors()
+    adj = neighbors(graph)
     n = len(adj)
     scores = {}
     for u in adj:
@@ -151,7 +151,7 @@ def all_shortest_paths(adj, s, t):
 
 
 def oracle_betweenness(graph):
-    adj = graph.neighbors()
+    adj = neighbors(graph)
     scores = {u: 0.0 for u in adj}
     for s, t in permutations(adj, 2):
         paths = all_shortest_paths(adj, s, t)
@@ -165,7 +165,7 @@ def oracle_betweenness(graph):
 
 def brandes_reference(graph):
     """Closeness and betweenness by Brandes' algorithm, one BFS source at a time."""
-    adj = {u: sorted(vs) for u, vs in graph.neighbors().items()}
+    adj = {u: sorted(vs) for u, vs in neighbors(graph).items()}
     n = len(adj)
     closeness = {}
     betweenness = dict.fromkeys(adj, 0.0)
@@ -254,7 +254,7 @@ class TestCentralityOracles:
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_tree(rng, int(rng.integers(2, 13)))
-            adj = g.neighbors()
+            adj = neighbors(g)
             bet = centrality_all(g)[1]
             for v in g.nodes:
                 routed = 0

@@ -1,4 +1,5 @@
 import io
+import re
 from datetime import timedelta, timezone
 
 import pytest
@@ -53,6 +54,35 @@ class TestParsePosts:
         row = ('{"post_id":"p1","thread_id":"t1","user_id":"u\\r1",'
                '"created_at":"2000-04-21T00:00:00Z","body":"x"}\n')
         with pytest.raises(ParseError, match="carriage return in user_id at line 1"):
+            parse_bytes(row.encode(), "jsonl")
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("user_id", "null", "null"), ("thread_id", '["a"]', '["a"]'),
+        ("post_id", "true", "true"), ("body", '{"x": 1}', '{"x": 1}'),
+        ("user_id", "1.5", "1.5"), ("thread_id", "1e3", "1000.0"),
+        ("created_at", "NaN", "NaN"), ("body", "false", "false"),
+    ])
+    def test_non_string_field_rejected(self, field, value, shown):
+        row = {"post_id": '"p1"', "thread_id": '"t1"', "user_id": '"u1"',
+               "created_at": '"2000-04-21T00:00:00Z"', "body": '"x"', field: value}
+        good = ('{"post_id":"p0","thread_id":"t1","user_id":"u1",'
+                '"created_at":"2000-04-21T00:00:00Z","body":"x"}\n')
+        bad = "{" + ",".join(f'"{k}": {v}' for k, v in row.items()) + "}\n"
+        expected = f"field '{field}' at line 2 .* got {re.escape(shown)}$"
+        with pytest.raises(ParseError, match=expected):
+            parse_bytes((good + bad).encode(), "jsonl")
+
+    def test_integer_ids_kept_as_decimal_text(self):
+        row = (b'{"post_id":7,"thread_id":-3,"user_id":12345678901234567890,'
+               b'"created_at":"2000-04-21T00:00:00Z","body":0}\n')
+        rec, = parse_bytes(row, "jsonl")
+        assert (rec.post_id, rec.thread_id, rec.user_id, rec.body) == (
+            "7", "-3", "12345678901234567890", "0")
+
+    def test_integer_too_long_to_convert_rejected(self):
+        row = ('{"post_id":"p1","thread_id":"t1","user_id":' + "9" * 5000
+               + ',"created_at":"2000-04-21T00:00:00Z","body":"x"}\n')
+        with pytest.raises(ParseError, match="malformed JSON at line 1"):
             parse_bytes(row.encode(), "jsonl")
 
     def test_csv_round_trips_newlines_in_body(self):
