@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
 
@@ -229,7 +230,8 @@ def dataset_csv(examples):
 
 
 def dataset_from_csv(fh):
-    """(X, y) float64 arrays from a dataset_csv text, in row order."""
+    """(X, y) float64 arrays from a dataset_csv text, in row order. A label
+    other than 0 or 1, or a feature that is not finite, is a ParseError."""
     reader = csv.reader(fh)
     if next(reader, None) != DATASET_COLUMNS:
         raise ParseError("dataset header must be task,snapshot_index,user_id,label "
@@ -239,10 +241,17 @@ def dataset_from_csv(fh):
         try:
             if len(row) != len(DATASET_COLUMNS):
                 raise ValueError
-            y.append(float(row[3]))
-            X.append([float(v) for v in row[4:]])
+            label = float(row[3])
+            features = [float(v) for v in row[4:]]
         except ValueError:
             raise ParseError(f"malformed dataset row at line {reader.line_num}") from None
+        if label not in (0.0, 1.0):
+            raise ParseError(f"dataset label at line {reader.line_num} must be 0 or 1, "
+                             f"got {row[3]!r}")
+        if not all(map(math.isfinite, features)):
+            raise ParseError(f"non-finite feature in dataset row at line {reader.line_num}")
+        y.append(label)
+        X.append(features)
     if not X:
         raise DegenerateDatasetError("the dataset holds no rows")
     return np.array(X), np.array(y)

@@ -3,9 +3,14 @@
 Training minimizes the L2-regularized mean negative log-likelihood by
 full-batch gradient descent from zero initialization, so a trained model is a
 pure function of its inputs. The presets of a CV repeat share its split and
-normalization, so they train as one weight matrix with a row per preset; each
-row's gradient is masked, so masked weights stay exactly 0. Each epoch checks
-that the weights are finite; the loss is computed once per model, at the end.
+normalization, and every repeat trains on the same number of rows, so the
+repeats train together: one gradient descent over a stack of training sets,
+a weight matrix per set with a row per preset. Each row's gradient is
+masked, so masked weights stay exactly 0. The epoch loop writes into buffers
+allocated once per call, and each epoch checks that the weights are finite;
+the loss is computed once per model, at the end. Repeats are stacked in
+blocks of at most _BLOCK_ELEMENTS training values, so memory stays bounded
+however many repeats there are.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .errors import ConfigError, TrainingError
 from .featureset import FEATURE_NAMES, N_FEATURES
 
 _IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -107,30 +113,55 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
 
 
 def train(X, y, masks, hyper=Hyper()):
-    """Gradient descent from zero init on one weight matrix, a row per mask;
-    returns one LogisticModel per mask."""
+    """Gradient descent from zero init on a stack of training sets, X of shape
+    (r, m, d) and y of shape (r, m): one weight matrix per set, a row per mask.
+    Returns, per set, one LogisticModel per mask."""
     M = np.array(masks, dtype=bool)
-    pos = int((y == 1).sum())
-    neg = int((y == 0).sum())
-    if pos == 0 or neg == 0:
-        raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
-    m = X.shape[0]
+    for labels in y:
+        pos = int((labels == 1).sum())
+        neg = int((labels == 0).sum())
+        if pos == 0 or neg == 0:
+            raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
+    r, m, _ = X.shape
     lr, lam = hyper.learning_rate, hyper.l2_lambda
-    W = np.zeros(M.shape)
-    b = np.zeros(len(M))
+    W = np.zeros((r,) + M.shape)
+    b = np.zeros((r, len(M)))
+    # E = 1 / (1 + exp(-(W X^T + b))) - y and G = E X / m + (lam / m) W, computed
+    # into these buffers one operation at a time, in the order that keeps the bits
+    E = np.empty((r, len(M), m))
+    G = np.empty_like(W)
+    decay = np.empty_like(W)
+    step_b = np.empty_like(b)
+    finite = np.empty(W.shape, dtype=bool)
+    masked_out = ~M
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises TrainingError
         for epoch in range(hyper.epochs):
-            E = 1.0 / (1.0 + np.exp(-(W @ X.T + b[:, None]))) - y
+            np.matmul(W, X.transpose(0, 2, 1), out=E)
+            E += b[..., None]
+            np.negative(E, out=E)
+            np.exp(E, out=E)
+            E += 1.0
+            np.divide(1.0, E, out=E)
+            E -= y[:, None, :]
+            np.matmul(E, X, out=G)
+            G /= m
+            np.multiply(W, lam / m, out=decay)
+            G += decay
             # where, not a product with M: 0 times a masked column's inf gradient is nan
-            W -= lr * np.where(M, (E @ X) / m + (lam / m) * W, 0.0)
-            b -= lr * E.mean(axis=1)
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            np.copyto(G, 0.0, where=masked_out)
+            G *= lr
+            W -= G
+            np.mean(E, axis=-1, out=step_b)
+            step_b *= lr
+            b -= step_b
+            if not (np.isfinite(W, out=finite).all() and np.isfinite(b).all()):
                 raise TrainingError(f"weights diverged at epoch {epoch}")
-        losses = [loss_and_gradient(w, bias, X, y, lam)[0] for w, bias in zip(W, b)]
+        losses = [loss_and_gradient(w, bias, Xs, ys, lam)[0]
+                  for Ws, bs, Xs, ys in zip(W, b, X, y) for w, bias in zip(Ws, bs)]
     if not np.isfinite(losses).all():
         raise TrainingError(f"final losses {losses} are not all finite")
-    return [LogisticModel(weights=w, bias=float(bias), feature_mask=mask, hyper=hyper)
-            for w, bias, mask in zip(W, b, M)]
+    return [[LogisticModel(weights=w, bias=float(bias), feature_mask=mask, hyper=hyper)
+             for w, bias, mask in zip(Ws, bs, M)] for Ws, bs in zip(W, b)]
 
 
 def evaluate(model, X, y):
@@ -170,14 +201,50 @@ def _downsample_majority(idx, y, rng):
     return np.sort(balanced)
 
 
+def _draw_splits(y, repeats, train_fraction, seed, balance):
+    """Per repeat, its (train indices, test indices), drawn from a generator
+    seeded by (seed, repeat index) alone.
+
+    Both splits hold both classes: the stratified split puts 1..n-1 members
+    of each class in train, and downsampling keeps min of them from each.
+    """
+    splits = []
+    for rep in range(repeats):
+        rng = np.random.default_rng([seed, rep])
+        train_idx, test_idx = _stratified_split(y, train_fraction, rng)
+        if balance:
+            train_idx = _downsample_majority(list(train_idx), y, rng)
+        splits.append((train_idx, test_idx))
+    return splits
+
+
+def _cv_block(X, y, block, masks, hyper):
+    """Per repeat of the block, per mask: test P, R, F and train accuracy."""
+    X_train = np.empty((len(block), len(block[0][0]), X.shape[1]))
+    for Xs, (train_idx, _, stats) in zip(X_train, block):
+        Xs[...] = normalize_apply(stats, X[train_idx])  # one repeat's temporaries at a time
+    y_train = np.stack([y[train_idx] for train_idx, _, _ in block])
+    rows = []
+    for (_, test_idx, stats), Xs, ys, models in zip(
+            block, X_train, y_train, train(X_train, y_train, masks, hyper)):
+        X_test = normalize_apply(stats, X[test_idx])
+        row = []
+        for model in models:
+            test = evaluate(model, X_test, y[test_idx])
+            row.append((test["precision"], test["recall"], test["f_measure"],
+                        evaluate(model, Xs, ys)["accuracy"]))
+        rows.append(row)
+    return rows
+
+
 def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
                    seed=0, balance=False):
     """Repeated stratified random splits; per preset, metric means and std-devs.
 
     Each repeat derives its own generator from (seed, repeat index), so the
     reports are identical under any evaluation order, and all presets share
-    each repeat's split and normalization. A split that collapses to a single
-    class is re-drawn, up to 100 times.
+    each repeat's split and normalization. Every split holds both classes on
+    its first draw. The repeats train in blocks of one gradient descent each.
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
@@ -185,28 +252,19 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
         raise ConfigError("train_fraction must lie in (0, 1)")
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
-    runs = [[] for _ in presets]  # per preset, per repeat: test P, R, F, train accuracy
-    for rep in range(repeats):
-        rng = np.random.default_rng([seed, rep])
-        for attempt in range(100):
-            train_idx, test_idx = _stratified_split(y, train_fraction, rng)
-            if balance:
-                train_idx = _downsample_majority(list(train_idx), y, rng)
-            y_train = y[train_idx]
-            if 0 < y_train.sum() < len(y_train):
-                break
-        else:
-            raise TrainingError("could not draw a two-class training split in 100 attempts")
-        stats = normalize_fit(X[train_idx])
-        X_train = normalize_apply(stats, X[train_idx])
-        X_test = normalize_apply(stats, X[test_idx])
-        models = train(X_train, y_train, [p.feature_mask for p in presets], hyper)
-        for model, rows in zip(models, runs):
-            test = evaluate(model, X_test, y[test_idx])
-            rows.append((test["precision"], test["recall"], test["f_measure"],
-                         evaluate(model, X_train, y_train)["accuracy"]))
+    splits = [(train_idx, test_idx, normalize_fit(X[train_idx]))
+              for train_idx, test_idx in _draw_splits(y, repeats, train_fraction, seed,
+                                                      balance)]
+    # Every repeat trains on the same number of rows, so the repeats stack: the
+    # stratified sizes depend only on the class counts, and downsampling keeps
+    # 2 * min of them.
+    per_block = max(1, _BLOCK_ELEMENTS // (len(splits[0][0]) * X.shape[1]))
+    masks = [p.feature_mask for p in presets]
+    runs = []  # per repeat, per preset: test P, R, F, train accuracy
+    for start in range(0, repeats, per_block):
+        runs += _cv_block(X, y, splits[start:start + per_block], masks, hyper)
     reports = []
-    for preset, rows in zip(presets, runs):
+    for preset, rows in zip(presets, zip(*runs)):
         fields = {}
         for key, values in zip(("precision", "recall", "f_measure", "train_accuracy"), zip(*rows)):
             fields[key], fields[key + "_std"] = float(np.mean(values)), float(np.std(values))

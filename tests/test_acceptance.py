@@ -155,7 +155,8 @@ def test_criterion_7_separable_data():
         w_true = rng.normal(size=18)
         y = (X @ w_true > 0).astype(np.float64)
         stats = model.normalize_fit(X)
-        trained = model.train(model.normalize_apply(stats, X), y, [np.ones(18, bool)])[0]
+        trained = model.train(model.normalize_apply(stats, X)[None], y[None],
+                              [np.ones(18, bool)])[0][0]
         metrics = model.evaluate(trained, model.normalize_apply(stats, X), y)
         assert metrics["f_measure"] >= 0.95
     assert t.elapsed < 5.0

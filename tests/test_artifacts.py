@@ -70,7 +70,7 @@ def test_roles_round_trip(labels):
     assert roles_from_csv(io.StringIO(roles_csv(labels), newline="")) == expected
 
 
-feature_vectors = st.lists(st.floats(allow_nan=False), min_size=N_FEATURES,
+feature_vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=N_FEATURES,
                            max_size=N_FEATURES).map(lambda v: FeatureVector(*v))
 examples = st.builds(LabeledExample, user_id=user_ids, snapshot_index=st.integers(0, 9),
                      task=st.sampled_from(Task), label=st.integers(0, 1),
@@ -89,6 +89,12 @@ def test_dataset_round_trip(rows):
     assert users == [e.user_id for e in ordered]
 
 
+def dataset_row(label, features):
+    """A dataset text with the header and one row."""
+    return (",".join(DATASET_COLUMNS) + f"\nLeaveVsStay,0,a,{label},"
+            + ",".join(features) + "\n")
+
+
 @pytest.mark.parametrize("reader, text, error", [
     (communities_from_csv, "snapshot_index,user_id\n0,a\n", ParseError),
     (communities_from_csv, "snapshot_index,community_id,user_id\nx,0,a\n", ParseError),
@@ -97,6 +103,11 @@ def test_dataset_round_trip(rows):
     (dataset_from_csv, ",".join(DATASET_COLUMNS) + "\nLeaveVsStay,0,a,1,0.5\n", ParseError),
     (dataset_from_csv, ",".join(DATASET_COLUMNS[:-1]) + "\n", ParseError),
     (dataset_from_csv, ",".join(DATASET_COLUMNS) + "\n", DegenerateDatasetError),
+    (dataset_from_csv, dataset_row("2", ["0.5"] * N_FEATURES), ParseError),
+    (dataset_from_csv, dataset_row("0.5", ["0.5"] * N_FEATURES), ParseError),
+    (dataset_from_csv, dataset_row("nan", ["0.5"] * N_FEATURES), ParseError),
+    (dataset_from_csv, dataset_row("1", ["nan"] + ["0.5"] * (N_FEATURES - 1)), ParseError),
+    (dataset_from_csv, dataset_row("0", ["0.5"] * (N_FEATURES - 1) + ["-inf"]), ParseError),
 ])
 def test_malformed_artifact_rejected(reader, text, error):
     with pytest.raises(error):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forumflux import model
 from forumflux.errors import ConfigError, TrainingError
@@ -36,6 +38,21 @@ def reference_train(X, y, mask, hyper=Hyper()):
         w = w - hyper.learning_rate * grad_w
         b = b - hyper.learning_rate * grad_b
     return w * mask, b
+
+
+def allocating_train(X, y, masks, hyper):
+    """One set, one expression per update, fresh arrays each epoch: the trainer
+    before the buffers. Returns the (weights, bias) matrices."""
+    M = np.array(masks, dtype=bool)
+    m = X.shape[0]
+    lr, lam = hyper.learning_rate, hyper.l2_lambda
+    W = np.zeros(M.shape)
+    b = np.zeros(len(M))
+    for _ in range(hyper.epochs):
+        E = 1.0 / (1.0 + np.exp(-(W @ X.T + b[:, None]))) - y
+        W -= lr * np.where(M, (E @ X) / m + (lam / m) * W, 0.0)
+        b -= lr * E.mean(axis=1)
+    return W, b
 
 
 def random_masks(rng, k, d=N_FEATURES):
@@ -115,33 +132,34 @@ class TestTrain:
     def test_one_dimensional_separable(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
-        m = train(X, y, [full_mask(1)])[0]
+        m = train(X[None], y[None], [full_mask(1)])[0][0]
         assert m.predict(X).tolist() == [0, 1]
 
     def test_large_l2_shrinks_weights(self):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, n=100)
-        m = train(X, y, [full_mask()], hyper=Hyper(learning_rate=0.001, l2_lambda=1e5))[0]
+        m = train(X[None], y[None], [full_mask()],
+                  hyper=Hyper(learning_rate=0.001, l2_lambda=1e5))[0][0]
         assert np.all(np.abs(m.weights) < 1e-2)
         proba = m.predict_proba(X)
         assert np.all(np.abs(proba - 0.5) < 0.1)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            train(np.ones((3, 2)), np.ones(3), [full_mask(2)])
+            train(np.ones((1, 3, 2)), np.ones((1, 3)), [full_mask(2)])
 
     def test_divergence_detected(self):
         X = np.array([[1e300], [-1e300]])
         y = np.array([1.0, 0.0])
         with pytest.raises(TrainingError):
-            train(X, y, [full_mask(1)], hyper=Hyper(learning_rate=1e280, epochs=5))
+            train(X[None], y[None], [full_mask(1)], hyper=Hyper(learning_rate=1e280, epochs=5))
 
     def test_masked_weights_stay_zero(self):
         rng = np.random.default_rng(3)
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[::2] = False
-        m = train(X, y, [mask])[0]
+        m = train(X[None], y[None], [mask])[0][0]
         assert np.all(m.weights[~mask] == 0.0)
 
     def test_mask_equals_physical_reduction(self):
@@ -149,16 +167,17 @@ class TestTrain:
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[[0, 5, 17]] = False
-        masked = train(X, y, [mask])[0]
-        reduced = train(X[:, mask], y, [full_mask(int(mask.sum()))])[0]
+        masked = train(X[None], y[None], [mask])[0][0]
+        reduced = train(X[None, :, mask], y[None], [full_mask(int(mask.sum()))])[0][0]
         p1 = masked.predict_proba(X)
         p2 = reduced.predict_proba(X[:, mask])
         assert np.max(np.abs(p1 - p2)) < 1e-12
 
 
 class TestStackedTrain:
-    """The masks of one call train as the rows of one weight matrix; each row
-    must be the model that training its mask alone gives."""
+    """The sets of one call train as a stack of weight matrices, and the masks
+    of a set as the rows of its matrix; each row must be the model that
+    training its mask on its set alone gives."""
 
     def test_rows_match_reference_through_cv(self, monkeypatch):
         calls = []
@@ -180,16 +199,88 @@ class TestStackedTrain:
             hyper = Hyper(learning_rate=float(rng.uniform(0.05, 0.5)), epochs=60,
                           l2_lambda=float(rng.uniform(0, 0.1)))
             monte_carlo_cv(X, y, presets, repeats=3, hyper=hyper, seed=3, balance=balance)
-        assert len(calls) == 6
-        for X, y, masks, hyper, models in calls:
-            np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=1e-12)  # z-scored train rows
-            np.testing.assert_allclose(X.std(axis=0), 1.0, rtol=1e-12)
-            assert len(models) == len(masks)
-            for mask, fitted in zip(masks, models):
-                w, b = reference_train(X, y, mask, hyper)
-                np.testing.assert_allclose(fitted.weights, w, rtol=1e-12, atol=1e-15)
-                assert fitted.bias == pytest.approx(b, rel=1e-12, abs=1e-15)
-                assert np.array_equal(fitted.feature_mask, mask)
+        assert sum(len(X) for X, *_ in calls) == 6
+        for X_stack, y_stack, masks, hyper, set_models in calls:
+            assert len(set_models) == len(X_stack)
+            for X, y, models in zip(X_stack, y_stack, set_models):
+                np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=1e-12)  # z-scored rows
+                np.testing.assert_allclose(X.std(axis=0), 1.0, rtol=1e-12)
+                assert len(models) == len(masks)
+                for mask, fitted in zip(masks, models):
+                    w, b = reference_train(X, y, mask, hyper)
+                    np.testing.assert_allclose(fitted.weights, w, rtol=1e-12, atol=1e-15)
+                    assert fitted.bias == pytest.approx(b, rel=1e-12, abs=1e-15)
+                    assert np.array_equal(fitted.feature_mask, mask)
+
+    def test_stack_equals_one_set_at_a_time_bitwise(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(4, 70, N_FEATURES))
+        y = (X[..., 0] + rng.normal(scale=2.0, size=(4, 70)) > 0).astype(np.float64)
+        masks = random_masks(rng, 5)
+        hyper = Hyper(learning_rate=0.3, epochs=80)
+        stacked = train(X, y, masks, hyper)
+        assert len(stacked) == 4
+        for X_set, y_set, models in zip(X, y, stacked):
+            for fitted, alone in zip(models, train(X_set[None], y_set[None], masks, hyper)[0]):
+                assert np.array_equal(fitted.weights, alone.weights)
+                assert fitted.bias == alone.bias
+
+    def test_buffered_epochs_keep_the_bits_of_the_allocating_expressions(self):
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(3, 90, N_FEATURES)) * rng.uniform(0.1, 10.0, size=N_FEATURES)
+        y = (X[..., 1] + rng.normal(scale=3.0, size=(3, 90)) > 0).astype(np.float64)
+        masks = random_masks(rng, 5)
+        hyper = Hyper(learning_rate=0.2, epochs=120, l2_lambda=0.05)
+        for X_set, y_set, models in zip(X, y, train(X, y, masks, hyper)):
+            W, b = allocating_train(X_set, y_set, masks, hyper)
+            assert np.array_equal([fitted.weights for fitted in models], W)
+            assert [fitted.bias for fitted in models] == b.tolist()
+
+    @pytest.mark.parametrize("balance", [False, True])
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, balance):
+        rng = np.random.default_rng(17)
+        X, y = separable_data(rng, n=90)
+        X += rng.normal(scale=3.0, size=X.shape)  # predictions near 0.5
+        y[:20] = 0.0
+        presets = table2_presets()
+        one_block = monte_carlo_cv(X, y, presets, repeats=5, seed=2, balance=balance)
+        m = len(model._draw_splits(y, 1, 0.7, 2, balance)[0][0])
+        real_train = model.train
+        for block_elements, sets_per_call in ((1, [1] * 5), (2 * m * N_FEATURES, [2, 2, 1])):
+            calls = []
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block_elements)
+            monkeypatch.setattr(model, "train",
+                                lambda X, *a: calls.append(len(X)) or real_train(X, *a))
+            assert monte_carlo_cv(X, y, presets, repeats=5, seed=2, balance=balance) == one_block
+            assert calls == sets_per_call
+
+    def test_a_single_class_set_in_the_stack_raises(self):
+        X = np.ones((2, 4, 2))
+        y = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        with pytest.raises(TrainingError):
+            train(X, y, [full_mask(2)])
+
+    def test_masked_column_with_an_infinite_gradient_stays_zero(self):
+        # column 0's gradient overflows to -inf; a product with the mask would make it nan
+        X = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, -1.0], [-1e308, -2.0]])
+        y = np.array([1.0, 1.0, 0.0, 0.0])
+        fitted = train(X[None], y[None], [np.array([False, True])], Hyper(epochs=5))[0][0]
+        assert fitted.weights[0] == 0.0
+        assert np.isfinite(fitted.weights[1])
+
+    def test_one_diverging_set_among_calm_sets_raises(self):
+        calm = np.array([[1e-300], [-1e-300]])
+        X = np.stack([calm, np.array([[1e300], [-1e300]]), calm])
+        y = np.array([[1.0, 0.0]] * 3)
+        hyper = Hyper(learning_rate=1e280, epochs=5, l2_lambda=0.0)
+        for models in train(X[[0, 2]], y[[0, 2]], [full_mask(1)], hyper):
+            assert np.isfinite(models[0].weights).all()
+        with pytest.raises(TrainingError) as alone:
+            train(X[[1]], y[[1]], [full_mask(1)], hyper)
+        with pytest.raises(TrainingError) as stacked:
+            train(X, y, [full_mask(1)], hyper)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith("weights diverged at epoch ")
 
     def test_each_report_equals_its_single_preset_run(self):
         rng = np.random.default_rng(12)
@@ -208,7 +299,7 @@ class TestStackedTrain:
         for _ in range(5):
             X, y = separable_data(rng, n=80)
             masks = random_masks(rng, int(rng.integers(2, 8)))
-            for mask, fitted in zip(masks, train(X, y, masks, Hyper(epochs=50))):
+            for mask, fitted in zip(masks, train(X[None], y[None], masks, Hyper(epochs=50))[0]):
                 assert np.all(fitted.weights[~mask] == 0.0)
                 assert np.all(np.isfinite(fitted.weights))
 
@@ -217,9 +308,9 @@ class TestStackedTrain:
         y = np.array([1.0, 0.0])
         hyper = Hyper(learning_rate=1e280, epochs=5, l2_lambda=0.0)
         calm = np.array([False, True])
-        assert np.isfinite(train(X, y, [calm], hyper)[0].weights).all()
+        assert np.isfinite(train(X[None], y[None], [calm], hyper)[0][0].weights).all()
         with pytest.raises(TrainingError):
-            train(X, y, [calm, ~calm], hyper)
+            train(X[None], y[None], [calm, ~calm], hyper)
 
     def test_loss_computed_once_per_fit_not_per_epoch(self, monkeypatch):
         calls = []
@@ -228,22 +319,46 @@ class TestStackedTrain:
                             lambda *a: calls.append(a) or real(*a))
         rng = np.random.default_rng(14)
         X, y = separable_data(rng, n=50)
-        train(X, y, random_masks(rng, 3), Hyper(epochs=40))
+        train(X[None], y[None], random_masks(rng, 3), Hyper(epochs=40))
         assert len(calls) == 3
+        calls.clear()
+        X_stack = np.stack([X, X[::-1]])
+        train(X_stack, np.stack([y, y[::-1]]), random_masks(rng, 3), Hyper(epochs=40))
+        assert [np.array_equal(X_set, X_stack[i // 3]) for i, (_, _, X_set, _, _)
+                in enumerate(calls)] == [True] * 6
 
     def test_non_finite_final_loss_raises(self, monkeypatch):
         monkeypatch.setattr(model, "loss_and_gradient",
                             lambda w, b, X, y, lam: (float("nan"), w, b))
         X, y = separable_data(np.random.default_rng(15), n=30)
         with pytest.raises(TrainingError):
-            train(X, y, [full_mask()], Hyper(epochs=3))
+            train(X[None], y[None], [full_mask()], Hyper(epochs=3))
+
+
+labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=60).filter(
+    lambda v: 2 <= sum(v) <= len(v) - 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labels, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_every_split_holds_both_classes_and_one_train_size(y, train_fraction, seed, balance):
+    """The repeats stack only because every split draws both classes and the
+    same number of training rows on its first draw."""
+    y = np.array(y)
+    splits = model._draw_splits(y, 6, train_fraction, seed, balance)
+    for train_idx, test_idx in splits:
+        assert set(y[train_idx]) == {0.0, 1.0}
+        assert set(y[test_idx]) == {0.0, 1.0}
+        assert not set(train_idx) & set(test_idx)
+    assert len({len(train_idx) for train_idx, _ in splits}) == 1
 
 
 class TestEvaluate:
     def test_perfect_predictions(self):
         X = np.array([[-2.0], [2.0]])
         y = np.array([0.0, 1.0])
-        m = train(X, y, [full_mask(1)])[0]
+        m = train(X[None], y[None], [full_mask(1)])[0][0]
         metrics = evaluate(m, X, y)
         assert metrics["precision"] == metrics["recall"] == metrics["f_measure"] == 1.0
 
