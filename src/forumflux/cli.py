@@ -126,7 +126,8 @@ def load_config(path, *, overrides=()):
 
 
 def _parse(key, default, text):
-    """text as the type of default: bool and Task by spelling, numbers finite."""
+    """text as the type of default: bool and Task by spelling, numbers finite
+    (an int too large for a float counts as not finite)."""
     if isinstance(default, (bool, evolution.Task)):
         choices = _BALANCE if isinstance(default, bool) else {t.value: t for t in evolution.Task}
         for spelling, value in choices.items():
@@ -138,10 +139,12 @@ def _parse(key, default, text):
         return text
     try:
         value = type(default)(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        noun = "an integer" if isinstance(default, int) else "a finite number"
+        finite = math.isfinite(value)  # OverflowError: an int beyond the float range
+    except (ValueError, OverflowError):
+        finite = False
+    if not finite:
+        noun = ("an integer of at most 308 digits" if isinstance(default, int)
+                else "a finite number")
         raise ConfigError(f"config key {key!r} must be {noun}, got {text!r}")
     return value
 

@@ -7,8 +7,8 @@ every pair at once, then keeps an edge whose P > alpha and inserts a non-edge
 whose P >= beta; the diagonal stays clear. A pair that is neither adjacent
 nor shares a neighbor has P = 0 and, since beta > alpha >= 0, is never
 inserted. The update is synchronous, so results do not depend on any pair
-order. Communities are the connected components of the final topology,
-filtered by a minimum size.
+order. Communities are the connected components of the final matrix, over
+the nodes in `graph.node_index` order, filtered by a minimum size.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph as graph_mod
 from .errors import ConfigError, ForumFluxError, ParseError
 
 COMMUNITY_COLUMNS = ["snapshot_index", "community_id", "user_id"]
@@ -57,26 +58,6 @@ def propinquity(adjacency, u, v):
     return a + len(adjacency[u] & adjacency[v])
 
 
-def _components(adjacency):
-    seen = set()
-    comps = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def detect_communities(graph, config=PropinquityConfig()):
     """Iterate the propinquity add/cut dynamic and return sized components.
 
@@ -85,11 +66,9 @@ def detect_communities(graph, config=PropinquityConfig()):
     exact for counts below 2**24. Community ids are assigned in ascending
     order of smallest member user_id.
     """
-    order = sorted(graph.nodes)
-    index = {u: i for i, u in enumerate(order)}
+    order, rows, cols = graph_mod.node_index(graph)
     adj = np.zeros((len(order), len(order)), dtype=bool)
-    for (u, v) in graph.edges:
-        adj[index[u], index[v]] = adj[index[v], index[u]] = True
+    adj[rows, cols] = True
     seen_topologies = {np.packbits(adj).tobytes()}
     for _ in range(config.max_iterations):
         a = adj.astype(np.float32)
@@ -101,17 +80,18 @@ def detect_communities(graph, config=PropinquityConfig()):
             break
         seen_topologies.add(fingerprint)
 
-    adjacency = {u: set() for u in order}
-    for i, j in np.argwhere(adj).tolist():
-        adjacency[order[i]].add(order[j])
     communities = []
-    sized = [c for c in _components(adjacency) if len(c) >= config.min_community_size]
-    for cid, comp in enumerate(sorted(sized, key=min)):
-        communities.append(Community(
-            snapshot_index=graph.snapshot_index,
-            community_id=cid,
-            members=frozenset(comp),
-        ))
+    placed = np.zeros(len(order), dtype=bool)
+    while not placed.all():
+        # the first unplaced node is the smallest member of its component
+        members = frontier = np.arange(len(order)) == placed.argmin()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members = members | frontier
+        placed |= members
+        if members.sum() >= config.min_community_size:
+            communities.append(Community(graph.snapshot_index, len(communities),
+                                         frozenset(order[i] for i in np.flatnonzero(members))))
     return communities
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_left
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,21 +22,6 @@ from . import graph as graph_mod
 from .errors import DegenerateDatasetError, ForumFluxError, ParseError
 from .evolution import ROLES_BY_TASK, Task
 from .lexifeat import text_measures
-
-FEATURE_NAMES = [
-    "sentiment", "cognition", "intent",
-    "connectiveness", "betweenness",
-    "times_appeared_before",
-    "avg_sentiment_before", "avg_cognition_before", "avg_intent_before",
-    "avg_connectiveness", "avg_betweenness",
-    "last_sentiment", "last_cognition", "last_intent",
-    "last_connectiveness", "last_betweenness",
-    "last_activity",
-    "modularity",
-]
-
-N_FEATURES = len(FEATURE_NAMES)
-DATASET_COLUMNS = ["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -61,6 +46,11 @@ class FeatureVector:
     modularity: float
 
 
+FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
+N_FEATURES = len(FEATURE_NAMES)
+DATASET_COLUMNS = ["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES
+
+
 @dataclass(frozen=True)
 class LabeledExample:
     user_id: str
@@ -74,92 +64,75 @@ class FeatureContext:
     """Everything feature assembly needs, precomputed per corpus.
 
     Holds the windows, per-snapshot graphs/centralities, detected communities
-    with their modularity, per-post text measures, and per-user post indexes
-    sorted by time.
+    with their modularity, and `activity`: per user, per window index in
+    ascending order, the (time, TextMeasures) of that user's posts in time
+    order. Posts are bucketed by `graph.posts_by_window`, and the users who
+    post in each window must be exactly that window's graph nodes.
     """
 
     def __init__(self, posts, windows, graphs, communities_by_snapshot,
                  lexicon, patterns):
-        self.posts = list(posts)
         self.windows = list(windows)
         self.graphs = {g.snapshot_index: g for g in graphs}
         self.communities = communities_by_snapshot
-        self.corpus_start = min(p.created_at for p in self.posts)
-        first, width = self.windows[0].start, self.windows[0].end - self.windows[0].start
-        posted = {((p.created_at - first) // width, p.user_id) for p in self.posts}
+        posts = sorted(posts, key=attrgetter("created_at"))
+        self.corpus_start = posts[0].created_at
+        self.activity = {}
+        for k, bucket in enumerate(graph_mod.posts_by_window(posts, self.windows)):
+            for p in bucket:
+                self.activity.setdefault(p.user_id, {}).setdefault(k, []).append(
+                    (p.created_at, text_measures(p.body, lexicon, patterns)))
+        posted = {(k, u) for u, by_window in self.activity.items() for k in by_window}
         if posted != {(k, u) for k, g in self.graphs.items() for u in g.nodes}:
             raise ParseError("the graphs do not hold the users who post in each window: they "
                              "were built on another window calendar; rerun 'snapshots'")
 
-        self.closeness = {}
-        self.betweenness = {}
-        for idx, g in self.graphs.items():
-            clo, bet = graph_mod.centrality_all(g)
-            self.closeness[idx] = clo
-            self.betweenness[idx] = bet
+        centrality = {idx: graph_mod.centrality_all(g) for idx, g in self.graphs.items()}
+        self.closeness = {idx: clo for idx, (clo, _) in centrality.items()}
+        self.betweenness = {idx: bet for idx, (_, bet) in centrality.items()}
         self.snapshot_modularity = {
             idx: community_mod.modularity(self.graphs[idx], self.communities.get(idx, []))
             for idx in self.graphs
         }
 
-        self.post_measures = {
-            p.post_id: text_measures(p.body, lexicon, patterns) for p in self.posts
-        }
-        self.user_posts = {}
-        for pos, p in enumerate(self.posts):
-            self.user_posts.setdefault(p.user_id, []).append((p.created_at, pos, p))
-        for entry in self.user_posts.values():
-            entry.sort(key=lambda t: (t[0], t[1]))
-        self.user_snapshots = {}
-        for idx in sorted(self.graphs):
-            for user in self.graphs[idx].nodes:
-                self.user_snapshots.setdefault(user, []).append(idx)
+
+def _text_sums(posts):
+    """(sentiment, cognition, intent) summed over (time, TextMeasures) pairs."""
+    return (sum(m.sentiment for _, m in posts), sum(m.cognition for _, m in posts),
+            sum(m.intent for _, m in posts))
 
 
 def assemble_features(ctx, user, snapshot_index):
-    """The 18-feature vector for a user at a feature snapshot."""
+    """The 18-feature vector for a user at a feature snapshot.
+
+    History is the user's posts in earlier windows; the prior snapshots are
+    the windows where the user posted, which the calendar check in
+    FeatureContext makes the windows where the user is a node.
+    """
     window = ctx.windows[snapshot_index]
-    graph = ctx.graphs[snapshot_index]
-    entry = ctx.user_posts.get(user)
-    if entry is None:
+    by_window = ctx.activity.get(user)
+    if by_window is None:
         raise ForumFluxError(f"unknown user {user!r}")
-    in_window = [p for ts, _, p in entry if window.start <= ts < window.end]
-    if not in_window and user not in graph.nodes:
-        raise ForumFluxError(
-            f"user {user!r} has no activity at snapshot {snapshot_index}")
+    if snapshot_index not in by_window:
+        raise ForumFluxError(f"user {user!r} has no activity at snapshot {snapshot_index}")
+    sentiment, cognition, intent = _text_sums(by_window[snapshot_index])
 
-    sentiment = cognition = intent = 0
-    for p in in_window:
-        m = ctx.post_measures[p.post_id]
-        sentiment += m.sentiment
-        cognition += m.cognition
-        intent += m.intent
-
-    times = [ts for ts, _, _ in entry]
-    n_before = bisect_left(times, window.start)
-    if n_before > 0:
-        prior = [ctx.post_measures[entry[k][2].post_id] for k in range(n_before)]
-        avg_sent = sum(m.sentiment for m in prior) / n_before
-        avg_cog = sum(m.cognition for m in prior) / n_before
-        avg_int = sum(m.intent for m in prior) / n_before
-        last = prior[-1]
+    prior_snaps = [k for k in by_window if k < snapshot_index]
+    history = [post for k in prior_snaps for post in by_window[k]]
+    n_before = len(history)
+    if history:
+        avg_sent, avg_cog, avg_int = (total / n_before for total in _text_sums(history))
+        since, last = history[-1]
         last_sent, last_cog, last_int = last.sentiment, last.cognition, last.intent
-        last_post_ts = entry[n_before - 1][0]
-        last_activity = (window.start - last_post_ts).total_seconds() / graph_mod.SECONDS_PER_DAY
-    else:
-        avg_sent = avg_cog = avg_int = 0.0
-        last_sent = last_cog = last_int = 0.0
-        last_activity = (window.start - ctx.corpus_start).total_seconds() / graph_mod.SECONDS_PER_DAY
-
-    prior_snaps = [j for j in ctx.user_snapshots.get(user, []) if j < snapshot_index]
-    if prior_snaps:
         avg_clo = sum(ctx.closeness[j][user] for j in prior_snaps) / len(prior_snaps)
         avg_bet = sum(ctx.betweenness[j][user] for j in prior_snaps) / len(prior_snaps)
-        last_j = prior_snaps[-1]
-        last_clo = ctx.closeness[last_j][user]
-        last_bet = ctx.betweenness[last_j][user]
+        last_clo = ctx.closeness[prior_snaps[-1]][user]
+        last_bet = ctx.betweenness[prior_snaps[-1]][user]
     else:
+        avg_sent = avg_cog = avg_int = last_sent = last_cog = last_int = 0.0
         avg_clo = avg_bet = last_clo = last_bet = 0.0
+        since = ctx.corpus_start
+    last_activity = (window.start - since).total_seconds() / graph_mod.SECONDS_PER_DAY
 
     return FeatureVector(
         sentiment=float(sentiment),

@@ -1,9 +1,11 @@
 """Temporal windowing and per-window co-participation graphs.
 
 Every post maps to exactly one fixed-width window counted from the corpus
-first post. Within a window, two users are connected iff they posted in at
+first post; `posts_by_window` buckets posts, and a post outside the calendar
+is an error. Within a window, two users are connected iff they posted in at
 least one common thread; the edge weight is the number of distinct shared
-threads. Centralities are computed on the unweighted graph.
+threads. `node_index` numbers the sorted nodes for both numpy kernels:
+centrality (on the unweighted graph) and propinquity dynamics.
 """
 
 from __future__ import annotations
@@ -70,39 +72,45 @@ def build_graph(posts, window):
     return InteractionGraph(snapshot_index=window.index, nodes=frozenset(nodes), edges=edges)
 
 
-def window_graphs(posts, windows):
-    """One graph per window of a contiguous calendar; each post is bucketed once."""
+def posts_by_window(posts, windows):
+    """Each window's posts, in input order. A post outside the contiguous
+    calendar is a ParseError: the calendar comes from corpus_stats.json, so
+    such a post means posts.jsonl changed after 'ingest'."""
     first, days = windows[0].start, (windows[0].end - windows[0].start) / timedelta(days=1)
     buckets = [[] for _ in windows]
     for post in posts:
         k = window_index(first, post.created_at, days)
-        if 0 <= k < len(buckets):
-            buckets[k].append(post)
-    return [build_graph(bucket, w) for bucket, w in zip(buckets, windows)]
+        if not 0 <= k < len(buckets):
+            raise ParseError(f"post {post.post_id!r} at {post.created_at.isoformat()} lies "
+                             f"outside the {len(windows)} windows from {first.isoformat()}; "
+                             "rerun 'ingest'")
+        buckets[k].append(post)
+    return buckets
 
 
-def _to_csr(graph):
+def window_graphs(posts, windows):
+    """One graph per window of a contiguous calendar; each post is bucketed once."""
+    return [build_graph(bucket, w) for bucket, w in zip(posts_by_window(posts, windows), windows)]
+
+
+def node_index(graph):
+    """(sorted nodes, rows, cols): every edge in both directions as a pair of
+    indices into the sorted nodes, ordered by row and then column."""
     order = sorted(graph.nodes)
-    idx = {u: i for i, u in enumerate(order)}
-    neigh = [[] for _ in order]
-    for (a, b) in graph.edges:
-        neigh[idx[a]].append(idx[b])
-        neigh[idx[b]].append(idx[a])
-    indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    indices = []
-    for i, lst in enumerate(neigh):
-        lst.sort()
-        indices.extend(lst)
-        indptr[i + 1] = len(indices)
-    return order, indptr, np.asarray(indices, dtype=np.int64)
+    index = {u: i for i, u in enumerate(order)}
+    ends = np.array([(index[a], index[b]) for a, b in graph.edges], dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+    key = np.lexsort((cols, rows))
+    return order, rows[key], cols[key]
 
 
 def centrality_all(graph):
     """(closeness map, betweenness map) over every node of the graph."""
-    order, indptr, indices = _to_csr(graph)
+    order, rows, cols = node_index(graph)
     if not order:
         return {}, {}
-    closeness, betweenness = _kernels.centrality_csr(indptr, indices)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(order)))])
+    closeness, betweenness = _kernels.centrality_csr(indptr, cols)
     return (
         {u: float(closeness[i]) for i, u in enumerate(order)},
         {u: float(betweenness[i]) for i, u in enumerate(order)},

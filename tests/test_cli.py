@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forumflux
 from forumflux import cli, graph as graph_mod, ingest
@@ -76,8 +81,12 @@ class TestStages:
         assert run_cli("--config", str(cfg), "--quiet", "synth") == 1
 
 
+HUGE = "1" + "0" * 400  # an int that math.isfinite cannot convert to a float
+
+
 @pytest.mark.parametrize("line", ["window_days = 1.5", "synth_signal = nan", "seed = -1",
-                                  "alpha = x", "epochs = 1e3", "balance = on"])
+                                  "alpha = x", "epochs = 1e3", "balance = on",
+                                  f"seed = {HUGE}", f"alpha = {HUGE}", f"epochs = {HUGE}"])
 def test_malformed_config_value_exits_1(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SYNTH_CFG + line + "\n")
@@ -124,6 +133,12 @@ def test_negative_seed_flag_exits_1(tmp_path, config_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "seed" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_seed_flag_exits_1(tmp_path, capsys):
+    assert run_cli("--out", str(tmp_path / "out"), "--quiet", "--seed", HUGE, "synth") == 1
+    assert capsys.readouterr().err.startswith("error: config key 'seed' must be an integer")
     assert not (tmp_path / "out").exists()
 
 
@@ -294,6 +309,22 @@ class TestArtifactInterface:
         for stage in ("communities", "roles", "features"):
             assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
 
+    def test_post_appended_after_ingest_fails_snapshots(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        late = ingest.PostRecord("late-post", "late-thread", "late-user",
+                                 datetime(2031, 1, 1, tzinfo=timezone.utc), "hello")
+        with open(out / "posts.jsonl", "ab") as fh:
+            fh.write(ingest.serialize_posts([late], "jsonl"))
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "snapshots") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: post 'late-post' at 2031-01-01") and "rerun 'ingest'" in err
+        assert not (out / "graphs").exists()
+        for stage in ("ingest", "snapshots"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        assert ",late-user,,0" in (out / "graphs" / "edges.csv").read_text(encoding="utf-8")
+
     def test_features_rejects_graphs_from_another_calendar(self, tmp_path, config_path,
                                                            capsys):
         out = tmp_path / "out"
@@ -305,3 +336,65 @@ class TestArtifactInterface:
             assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", stage) == 0
         assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", "features") == 2
         assert "rerun 'snapshots'" in capsys.readouterr().err
+
+
+# ids mixing CSV metacharacters, newlines and non-ASCII text
+_ids = st.lists(st.text(st.sampled_from(['a', 'b', ',', '"', '\n', 'é', '中']), min_size=1,
+                        max_size=3), min_size=8, max_size=12, unique=True)
+
+
+@st.composite
+def fuzz_corpora(draw):
+    """(JSONL bytes, config lines). Each 2-day window holds one thread whose
+    posters are a window onto the user list that slides by 2-3 users per
+    window, so most corpora have joiners, leavers and stayers to train on;
+    a few stray posts add noise."""
+    users = draw(_ids)
+    same_time = draw(st.sampled_from([False, False, False, True]))
+    rows = []
+
+    def post(w, thread, user, first=False):
+        hours = 0 if same_time else 48 * w + (0 if first else draw(st.integers(0, 47)))
+        rows.append({"post_id": f"{w}/{len(rows)}", "thread_id": thread, "user_id": user,
+                     "body": draw(st.sampled_from(["happy", "thinking i will go", "",
+                                                   "sad think 中"])),
+                     "created_at": f"2020-01-{1 + hours // 24:02d}T{hours % 24:02d}:00:00Z"})
+
+    start, size = 0, draw(st.integers(5, 7))
+    for w in range(draw(st.sampled_from([3, 2, 3, 1]))):
+        for i in range(size):  # the first post opens the window: the calendar starts there
+            post(w, f"{w}/main", users[(start + i) % len(users)], first=i == 0)
+        for user in draw(st.lists(st.sampled_from(users), max_size=3)):
+            post(w, f"{w}/{draw(st.sampled_from('xy'))}", user)
+        start += draw(st.integers(2, 3))
+    config = ["window_days = 2", "repeats = 2", "epochs = 30",
+              f"seed = {draw(st.integers(0, 3))}",
+              f"task = {draw(st.sampled_from(['LeaveVsStay', 'JoinVsPrevious']))}"]
+    corpus = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    return corpus.encode("utf-8"), config
+
+
+@settings(max_examples=25, deadline=None)
+@given(fuzz_corpora())
+def test_any_ingested_corpus_runs_or_fails_cleanly(case):
+    corpus, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.jsonl").write_bytes(corpus)
+        (tmp / "run.cfg").write_text("\n".join([f"input = {tmp / 'corpus.jsonl'}", *config]),
+                                     encoding="utf-8")
+        codes = []
+        for out in ("a", "b"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes.append(main(["--config", str(tmp / "run.cfg"), "--out", str(tmp / out),
+                                   "--quiet", "run"]))
+            assert codes[-1] in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert (codes[-1] == 0) == (err.getvalue() == ""), err.getvalue()
+            assert codes[-1] == 0 or err.getvalue().startswith("error: ")
+        assert codes[0] == codes[1]
+        if codes[0] == 0:
+            assert artifact_tree(tmp / "a") == artifact_tree(tmp / "b")
+            for rel in artifact_tree(tmp / "a"):
+                assert filecmp.cmp(tmp / "a" / rel, tmp / "b" / rel, shallow=False), rel

@@ -258,6 +258,22 @@ class TestMatrixStepMatchesReference:
                     assert all(any(f <= c for c in coarse) for f in fine)
                 coarse = fine
 
+    def test_one_step_splits_into_pieces_of_mixed_size(self):
+        # K4 k1..k4, triangle b1..b3 and pendants: at alpha=1 the step cuts
+        # every edge without a common neighbour, leaving pieces of 4, 3 and 1
+        # nodes; a0, a singleton, is the smallest node of the graph
+        g = make_graph([*combinations(["k1", "k2", "k3", "k4"], 2),
+                        *combinations(["b1", "b2", "b3"], 2),
+                        ("k4", "b1"), ("k1", "z1"), ("z1", "z2"), ("a0", "b2")])
+        pieces = [frozenset(["a0"]), frozenset(["b1", "b2", "b3"]),
+                  frozenset(["k1", "k2", "k3", "k4"]), frozenset(["z1"]), frozenset(["z2"])]
+        for cap in (1, 20):
+            for min_size in (1, 2, 3, 4, 5):
+                config = PropinquityConfig(max_iterations=cap, min_community_size=min_size)
+                assert_matches_reference(g, config)
+                assert [c.members for c in detect_communities(g, config)] == \
+                    [piece for piece in pieces if len(piece) >= min_size]
+
     def test_alpha_zero_large_beta_isolated_nodes(self):
         rng = np.random.default_rng(16)
         for _ in range(20):

@@ -1,14 +1,17 @@
+from bisect import bisect_left
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forumflux import featureset
 from forumflux.errors import DegenerateDatasetError, ForumFluxError
 from forumflux.evolution import Role, RoleLabel, Task, label_all
-from forumflux.featureset import (FEATURE_NAMES, FeatureContext, assemble_features,
-                                  build_dataset, dataset_csv)
-from forumflux.graph import build_windows, window_graphs
-from forumflux.lexifeat import IntentPatterns, Lexicon
+from forumflux.featureset import (FEATURE_NAMES, FeatureContext, FeatureVector,
+                                  assemble_features, build_dataset, dataset_csv)
+from forumflux.graph import SECONDS_PER_DAY, build_windows, window_graphs
+from forumflux.lexifeat import IntentPatterns, Lexicon, text_measures
 
 from conftest import T0, make_community, make_post
 
@@ -203,3 +206,74 @@ def test_dataset_csv_header_and_order():
     assert lines[0] == "task,snapshot_index,user_id,label," + ",".join(FEATURE_NAMES)
     assert len(lines) == 1 + 4
     assert len(FEATURE_NAMES) == featureset.N_FEATURES == 18
+
+
+def reference_features(posts, ctx, user, snapshot_index):
+    """The per-post assembly that the activity index replaced: the user's posts
+    sorted by (time, input position), the history found with bisect_left on
+    their times, and the prior snapshots read off the graph nodes."""
+    measures = {p.post_id: text_measures(p.body, LEX, PATTERNS) for p in posts}
+    entry = sorted((p.created_at, pos, p) for pos, p in enumerate(posts) if p.user_id == user)
+    snapshots = sorted(k for k, g in ctx.graphs.items() if user in g.nodes)
+    window = ctx.windows[snapshot_index]
+    in_window = [p for ts, _, p in entry if window.start <= ts < window.end]
+    sentiment = sum(measures[p.post_id].sentiment for p in in_window)
+    cognition = sum(measures[p.post_id].cognition for p in in_window)
+    intent = sum(measures[p.post_id].intent for p in in_window)
+
+    n_before = bisect_left([ts for ts, _, _ in entry], window.start)
+    if n_before > 0:
+        prior = [measures[entry[k][2].post_id] for k in range(n_before)]
+        avg_sent = sum(m.sentiment for m in prior) / n_before
+        avg_cog = sum(m.cognition for m in prior) / n_before
+        avg_int = sum(m.intent for m in prior) / n_before
+        last_sent, last_cog, last_int = prior[-1].sentiment, prior[-1].cognition, prior[-1].intent
+        last_activity = (window.start - entry[n_before - 1][0]).total_seconds() / SECONDS_PER_DAY
+    else:
+        avg_sent = avg_cog = avg_int = last_sent = last_cog = last_int = 0.0
+        corpus_start = min(p.created_at for p in posts)
+        last_activity = (window.start - corpus_start).total_seconds() / SECONDS_PER_DAY
+
+    prior_snaps = [j for j in snapshots if j < snapshot_index]
+    if prior_snaps:
+        avg_clo = sum(ctx.closeness[j][user] for j in prior_snaps) / len(prior_snaps)
+        avg_bet = sum(ctx.betweenness[j][user] for j in prior_snaps) / len(prior_snaps)
+        last_clo = ctx.closeness[prior_snaps[-1]][user]
+        last_bet = ctx.betweenness[prior_snaps[-1]][user]
+    else:
+        avg_clo = avg_bet = last_clo = last_bet = 0.0
+    return FeatureVector(
+        float(sentiment), float(cognition), float(intent),
+        ctx.closeness[snapshot_index].get(user, 0.0),
+        ctx.betweenness[snapshot_index].get(user, 0.0),
+        float(n_before), avg_sent, avg_cog, avg_int, avg_clo, avg_bet,
+        float(last_sent), float(last_cog), float(last_int), last_clo, last_bet,
+        last_activity, ctx.snapshot_modularity[snapshot_index])
+
+
+# hours on a 6-hour grid over 4 days: shared timestamps are common, and with
+# 1-day windows a user often skips a window or posts in the first one only
+_posts = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from(["t1", "t2", "t3"]),
+              st.integers(0, 16).map(lambda k: 6 * k),
+              st.sampled_from(["happy", "thinking i will", "stone", "happy happy think"])),
+    min_size=1, max_size=25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_posts, st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+def test_assemble_features_matches_per_post_reference(spec, window_days, rnd):
+    posts = [make_post(f"p{i}", thread, user, minutes=60 * hour, body=body)
+             for i, (user, thread, hour, body) in enumerate(spec)]
+    rnd.shuffle(posts)
+    ctx = make_context(posts, window_days=window_days)
+    for k, graph in ctx.graphs.items():
+        for user in sorted(graph.nodes):
+            got = astuple(assemble_features(ctx, user, k))
+            want = astuple(reference_features(posts, ctx, user, k))
+            for name, a, b in zip(FEATURE_NAMES, got, want):
+                assert a == b, (name, user, k)
+        for user in sorted(set("abcde") - graph.nodes):
+            with pytest.raises(ForumFluxError):
+                assemble_features(ctx, user, k)
+

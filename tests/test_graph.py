@@ -8,7 +8,8 @@ import pytest
 from forumflux import _kernels, graph as graph_mod
 from forumflux.errors import ConfigError, ParseError
 from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
-                             edges_csv, graphs_from_csv, window_graphs, window_index)
+                             edges_csv, graphs_from_csv, node_index, window_graphs,
+                             window_index)
 
 from conftest import T0, make_graph, make_post, neighbors
 
@@ -317,7 +318,44 @@ def test_window_graphs_matches_per_window_build():
     # posts every 5 hours from T0 to T0 + 195 h; the windows cover [2 h, 194 h)
     posts = [make_post(f"p{i}", f"t{i % 4}", f"u{i % 5}", minutes=i * 300) for i in range(40)]
     windows = build_windows(T0 + timedelta(hours=2), T0 + timedelta(days=7), 2)
-    assert window_graphs(posts, windows) == [build_graph(posts, w) for w in windows]
+    inside = [p for p in posts if windows[0].start <= p.created_at < windows[-1].end]
+    assert len(inside) == 38
+    assert window_graphs(inside, windows) == [build_graph(posts, w) for w in windows]
+    # the calendar comes from corpus_stats.json, so a post outside it is an error
+    for outside in (posts[0], posts[-1]):
+        with pytest.raises(ParseError, match=rf"post '{outside.post_id}' .*rerun 'ingest'"):
+            window_graphs(inside + [outside], windows)
+
+
+class TestNodeIndex:
+    def test_edges_both_ways_by_row_then_column(self):
+        g = make_graph([("c", "a"), ("d", "b"), ("a", "b"), ("a", "d")],
+                       extra_nodes=["0solo", "e"])
+        order, rows, cols = node_index(g)
+        assert order == ["0solo", "a", "b", "c", "d", "e"]
+        assert rows.dtype == cols.dtype == np.int64
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert pairs == [(1, 2), (1, 3), (1, 4), (2, 1), (2, 4), (3, 1), (4, 1), (4, 2)]
+        assert np.bincount(rows, minlength=len(order)).tolist() == [0, 3, 2, 1, 2, 0]
+
+    def test_random_graphs_list_each_edge_twice_in_sorted_order(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            nodes = [f"n{i:02d}" for i in rng.permutation(int(rng.integers(1, 25)))]
+            edges = [(a, b) for a, b in combinations(nodes, 2) if rng.random() < 0.2]
+            order, rows, cols = node_index(make_graph(edges, extra_nodes=nodes))
+            assert order == sorted(nodes)
+            pairs = list(zip(rows.tolist(), cols.tolist()))
+            assert pairs == sorted({(order.index(a), order.index(b))
+                                    for u, v in edges for a, b in ((u, v), (v, u))})
+            assert len(pairs) == 2 * len(edges)
+
+    @pytest.mark.parametrize("extra_nodes", [[], ["b", "a"]])
+    def test_edgeless_graph(self, extra_nodes):
+        order, rows, cols = node_index(make_graph([], extra_nodes=extra_nodes))
+        assert order == sorted(extra_nodes)
+        assert rows.shape == cols.shape == (0,)
+        assert rows.dtype == cols.dtype == np.int64
 
 
 def test_edges_csv_round_trip_keeps_isolated_nodes_and_empty_windows():
