@@ -233,8 +233,10 @@ def _windows(cfg, out_dir):
     try:
         stats = json.loads(path.read_text("utf-8"))
         first, last = (ingest.parse_timestamp(stats[k]) for k in ("first_post", "last_post"))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ParseError) as exc:
         raise ParseError(f"malformed {path}: {exc}") from None
+    if first > last:
+        raise ParseError(f"malformed {path}: first_post must not be after last_post")
     return graph_mod.build_windows(first, last, cfg.window_days)
 
 
@@ -282,17 +284,18 @@ def stage_features(cfg, out_dir):
 
 def stage_train(cfg, out_dir):
     X, y = _read_csv(out_dir, "dataset.csv", "features", featureset.dataset_from_csv)
-    reports = model.monte_carlo_cv(X, y, model.table2_presets(), repeats=cfg.repeats,
+    presets = model.table2_presets()
+    reports = model.monte_carlo_cv(X, y, presets, repeats=cfg.repeats,
                                    train_fraction=cfg.train_fraction, hyper=cfg.hyper,
                                    seed=cfg.seed, balance=cfg.balance)
-    for key, report in zip(model.PRESET_KEYS, reports):
-        _write(Path(out_dir) / "reports" / f"{key}.json", model.report_json(report))
+    for preset, report in zip(presets, reports):
+        _write(Path(out_dir) / "reports" / f"{preset.key}.json", model.report_json(report))
 
 
 def stage_report(cfg, out_dir):
     reports = []
-    for key in model.PRESET_KEYS:
-        path = Path(out_dir) / "reports" / f"{key}.json"
+    for preset in model.table2_presets():
+        path = Path(out_dir) / "reports" / f"{preset.key}.json"
         _require(path, "train")
         try:
             reports.append(model.report_from_json(path.read_text("utf-8")))

@@ -5,7 +5,7 @@ with maximum member overlap (ties to the lowest previous community_id).
 Joining/Previous labels require strictly more than half of the current
 community to come from the parent; Leaving/Staying labels require at least
 half of the parent to persist into the child. The strict/non-strict asymmetry
-is deliberate.
+is deliberate. `ROLES_BY_TASK` is the one map from a role to its task.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ ROLES_BY_TASK = {
     Task.JOIN_VS_PREVIOUS: (Role.JOINING, Role.PREVIOUS),
     Task.LEAVE_VS_STAY: (Role.LEAVING, Role.STAYING),
 }
+_TASK_OF_ROLE = {role: task for task, roles in ROLES_BY_TASK.items() for role in roles}
 
 ROLE_COLUMNS = ["snapshot_index", "user_id", "role", "community_id"]
 
@@ -56,69 +57,43 @@ class RoleLabel:
 
 
 def match_communities(current, previous):
-    """Match each current community to its maximum-overlap predecessor."""
+    """Match each current community to its maximum-overlap predecessor: the
+    first largest overlap in community_id order, no parent at zero overlap."""
+    previous = sorted(previous, key=lambda c: c.community_id)
     matches = []
     for child in sorted(current, key=lambda c: c.community_id):
-        best = None
-        best_overlap = 0
-        for parent in sorted(previous, key=lambda c: c.community_id):
-            overlap = len(child.members & parent.members)
-            if overlap > best_overlap:
-                best = parent
-                best_overlap = overlap
-        if best is None:
-            matches.append(CommunityMatch(child=child, parent=None, overlap=0,
-                                          persistence=0.0, continuity=0.0))
-        else:
-            matches.append(CommunityMatch(
-                child=child,
-                parent=best,
-                overlap=best_overlap,
-                persistence=best_overlap / len(child.members),
-                continuity=best_overlap / len(best.members),
-            ))
+        overlaps = [(len(child.members & parent.members), parent) for parent in previous]
+        overlap, parent = max((o for o in overlaps if o[0]), key=lambda o: o[0], default=(0, None))
+        persistence, continuity = ((overlap / len(child.members), overlap / len(parent.members))
+                                   if parent else (0.0, 0.0))
+        matches.append(CommunityMatch(child, parent, overlap, persistence, continuity))
     return matches
 
 
 def label_roles(matches):
-    """Role labels for one consecutive snapshot pair.
+    """Role labels for one consecutive snapshot pair, sorted by role and user.
 
-    Within a task, a user duplicated across matches keeps the label from the
-    lowest child community_id.
+    Joining and Previous split the child's members when persistence > 0.5,
+    Leaving and Staying split the parent's when continuity >= 0.5; each
+    label carries the community it splits and the child's snapshot. Within a
+    task, a user duplicated across matches keeps the label from the lowest
+    child community_id.
     """
-    assigned = {task: {} for task in Task}
-
-    def put(task, user, role, community_id):
-        if user not in assigned[task]:
-            assigned[task][user] = (role, community_id)
-
+    first = {}  # (task, user) -> its label
     for match in sorted(matches, key=lambda m: m.child.community_id):
-        if match.parent is None:
-            continue
         child, parent = match.child, match.parent
-        shared = child.members & parent.members
+        groups = []
         if match.persistence > 0.5:
-            for user in sorted(child.members - parent.members):
-                put(Task.JOIN_VS_PREVIOUS, user, Role.JOINING, child.community_id)
-            for user in sorted(shared):
-                put(Task.JOIN_VS_PREVIOUS, user, Role.PREVIOUS, child.community_id)
+            groups += [(Role.JOINING, child.members - parent.members, child),
+                       (Role.PREVIOUS, child.members & parent.members, child)]
         if match.continuity >= 0.5:
-            for user in sorted(parent.members - child.members):
-                put(Task.LEAVE_VS_STAY, user, Role.LEAVING, parent.community_id)
-            for user in sorted(shared):
-                put(Task.LEAVE_VS_STAY, user, Role.STAYING, parent.community_id)
-
-    snapshot = None
-    for match in matches:
-        snapshot = match.child.snapshot_index
-        break
-    labels = []
-    for task in Task:
-        for user, (role, cid) in assigned[task].items():
-            labels.append(RoleLabel(user_id=user, snapshot_index=snapshot,
-                                    role=role, community_id=cid))
-    labels.sort(key=lambda l: (l.role.value, l.user_id))
-    return labels
+            groups += [(Role.LEAVING, parent.members - child.members, parent),
+                       (Role.STAYING, child.members & parent.members, parent)]
+        for role, users, community in groups:
+            for user in users:
+                first.setdefault((_TASK_OF_ROLE[role], user), RoleLabel(
+                    user, child.snapshot_index, role, community.community_id))
+    return sorted(first.values(), key=lambda l: (l.role.value, l.user_id))
 
 
 def label_all(communities_by_snapshot):

@@ -40,21 +40,20 @@ class InteractionGraph:
 
 
 def build_windows(first_post, last_post, window_days):
-    """Contiguous window_days-wide windows covering [first_post, last_post]."""
+    """Contiguous window_days-wide windows covering [first_post, last_post];
+    none when first_post is after last_post."""
     if window_days <= 0:
         raise ConfigError(f"window_days must be positive, got {window_days}")
-    if first_post > last_post:
-        raise ConfigError("first_post must not be after last_post")
     width = timedelta(days=window_days)
     return [
         SnapshotWindow(index=i, start=first_post + i * width, end=first_post + (i + 1) * width)
-        for i in range(window_index(first_post, last_post, window_days) + 1)
+        for i in range(window_index(first_post, last_post, width) + 1)
     ]
 
 
-def window_index(first_post, ts, window_days):
-    """Index of ts's window from first_post; exact, so it agrees with start <= ts < end."""
-    return (ts - first_post) // timedelta(days=window_days)
+def window_index(first_post, ts, width):
+    """Index of ts's window of width (a timedelta) from first_post; exact: start <= ts < end."""
+    return (ts - first_post) // width
 
 
 def build_graph(posts, window):
@@ -76,10 +75,10 @@ def posts_by_window(posts, windows):
     """Each window's posts, in input order. A post outside the contiguous
     calendar is a ParseError: the calendar comes from corpus_stats.json, so
     such a post means posts.jsonl changed after 'ingest'."""
-    first, days = windows[0].start, (windows[0].end - windows[0].start) / timedelta(days=1)
+    first, width = windows[0].start, windows[0].end - windows[0].start
     buckets = [[] for _ in windows]
     for post in posts:
-        k = window_index(first, post.created_at, days)
+        k = window_index(first, post.created_at, width)
         if not 0 <= k < len(buckets):
             raise ParseError(f"post {post.post_id!r} at {post.created_at.isoformat()} lies "
                              f"outside the {len(windows)} windows from {first.isoformat()}; "

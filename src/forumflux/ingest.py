@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ConfigError, EmptyCorpusError, ParseError
-
-CSV_COLUMNS = ["post_id", "thread_id", "user_id", "created_at", "body"]
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,9 @@ class PostRecord:
     user_id: str
     created_at: datetime  # always tz-aware UTC, second precision
     body: str
+
+
+CSV_COLUMNS = [f.name for f in fields(PostRecord)]
 
 
 @dataclass(frozen=True)
@@ -58,33 +60,28 @@ def format_timestamp(ts):
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _make_record(fields, line_no, seen_ids):
+def _make_record(row, line_no, seen_ids):
+    """The PostRecord of row, a dict of field name -> text, once checked."""
     where = f" at line {line_no}"
-    missing = [k for k in CSV_COLUMNS if k not in fields]
+    missing = [k for k in CSV_COLUMNS if k not in row]
     if missing:
         raise ParseError(f"missing field(s) {missing}{where}")
-    extra = [k for k in fields if k not in CSV_COLUMNS]
+    extra = [k for k in row if k not in CSV_COLUMNS]
     if extra:
         raise ParseError(f"unknown field(s) {extra}{where}")
-    post_id = fields["post_id"]
+    post_id = row["post_id"]
     if not post_id:
         raise ParseError(f"empty post_id{where}")
-    if not fields["thread_id"]:
+    if not row["thread_id"]:
         raise ParseError(f"empty thread_id{where}")
-    if not fields["user_id"]:
+    if not row["user_id"]:
         raise ParseError(f"empty user_id{where}")
-    if "\r" in fields["user_id"]:  # the artifact CSVs end lines with \n and leave \r unquoted
+    if "\r" in row["user_id"]:  # the artifact CSVs end lines with \n and leave \r unquoted
         raise ParseError(f"carriage return in user_id{where}")
     if post_id in seen_ids:
         raise ParseError(f"duplicate post_id {post_id!r}{where}")
     seen_ids.add(post_id)
-    return PostRecord(
-        post_id=post_id,
-        thread_id=fields["thread_id"],
-        user_id=fields["user_id"],
-        created_at=parse_timestamp(fields["created_at"], where),
-        body=fields["body"],
-    )
+    return PostRecord(**dict(row, created_at=parse_timestamp(row["created_at"], where)))
 
 
 def parse_posts(stream, fmt):
@@ -130,26 +127,20 @@ def parse_posts(stream, fmt):
 
 def serialize_posts(records, fmt):
     """Serialize records to bytes in 'jsonl' or 'csv'; inverse of parse_posts."""
+    if fmt not in ("jsonl", "csv"):
+        raise ConfigError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
+    values = attrgetter(*CSV_COLUMNS)
+    rows = ([format_timestamp(v) if isinstance(v, datetime) else v for v in values(rec)]
+            for rec in records)  # made as they are written, never all held at once
     buf = io.StringIO()
     if fmt == "jsonl":
-        for rec in records:
-            obj = {
-                "post_id": rec.post_id,
-                "thread_id": rec.thread_id,
-                "user_id": rec.user_id,
-                "created_at": format_timestamp(rec.created_at),
-                "body": rec.body,
-            }
-            buf.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    elif fmt == "csv":
+        buf.writelines(json.dumps(dict(zip(CSV_COLUMNS, row)), ensure_ascii=False) + "\n"
+                       for row in rows)
+    else:
         # RFC-4180 line endings; also forces quoting of bodies containing \r
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.post_id, rec.thread_id, rec.user_id,
-                             format_timestamp(rec.created_at), rec.body])
-    else:
-        raise ConfigError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
+        writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -230,19 +221,12 @@ def _community_rosters(rng, pool, n_windows):
 def _signal_words():
     # Lazy import: lexifeat pulls nothing from this module, but keeping the
     # generator decoupled from lexicon loading at import time is tidier.
-    from .lexifeat import default_intent_patterns, default_lexicon
+    from .lexifeat import (COGNITION_CATEGORIES, SENTIMENT_CATEGORIES,
+                           default_intent_patterns, default_lexicon)
 
-    lex = default_lexicon()
-    by_cat = {}
-    for pattern, category in lex.entries:
-        if pattern.endswith("*"):
-            continue
-        by_cat.setdefault(category, []).append(pattern)
-    sentiment_words = sorted(
-        by_cat.get("posemo", []) + by_cat.get("negemo", [])
-        + by_cat.get("anger", []) + by_cat.get("sadness", [])
-    )
-    cognition_words = sorted(by_cat.get("cogmech", []))
+    exact = [(word, cat) for word, cat in default_lexicon().entries if not word.endswith("*")]
+    sentiment_words = sorted(w for w, cat in exact if cat in SENTIMENT_CATEGORIES)
+    cognition_words = sorted(w for w, cat in exact if cat in COGNITION_CATEGORIES)
     phrases = [" ".join(p) for p in default_intent_patterns().phrases]
     return sentiment_words, cognition_words, phrases
 

@@ -26,6 +26,7 @@ from .featureset import FEATURE_NAMES, N_FEATURES
 
 _IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 _BLOCK_ELEMENTS = 1 << 18
+_METRICS = ("precision", "recall", "f_measure", "train_accuracy")  # each with a mean and a std
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     feature_mask: np.ndarray
-    hyper: Hyper
 
     def predict_proba(self, X):
         z = X @ self.weights + self.bias
@@ -66,6 +66,7 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class AblationPreset:
+    key: str                 # its report is reports/<key>.json
     name: str
     feature_mask: np.ndarray
 
@@ -160,7 +161,7 @@ def train(X, y, masks, hyper=Hyper()):
                   for Ws, bs, Xs, ys in zip(W, b, X, y) for w, bias in zip(Ws, bs)]
     if not np.isfinite(losses).all():
         raise TrainingError(f"final losses {losses} are not all finite")
-    return [[LogisticModel(weights=w, bias=float(bias), feature_mask=mask, hyper=hyper)
+    return [[LogisticModel(weights=w, bias=float(bias), feature_mask=mask)
              for w, bias, mask in zip(Ws, bs, M)] for Ws, bs in zip(W, b)]
 
 
@@ -266,7 +267,7 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     reports = []
     for preset, rows in zip(presets, zip(*runs)):
         fields = {}
-        for key, values in zip(("precision", "recall", "f_measure", "train_accuracy"), zip(*rows)):
+        for key, values in zip(_METRICS, zip(*rows)):
             fields[key], fields[key + "_std"] = float(np.mean(values)), float(np.std(values))
         reports.append(EvalReport(model_name=preset.name, repeats=repeats, **fields))
     return reports
@@ -288,33 +289,24 @@ def table2_presets():
     """The five ablation presets: all features, two text ablations, and two
     structure ablations."""
     return [
-        AblationPreset("M1: all features", _mask([])),
-        AblationPreset("M2: M1 without current sentiment, cognition, intent",
+        AblationPreset("m1", "M1: all features", _mask([])),
+        AblationPreset("m2", "M2: M1 without current sentiment, cognition, intent",
                        _mask(_TEXT_CURRENT)),
-        AblationPreset("M3: M1 without any sentiment, cognition, intent",
+        AblationPreset("m3", "M3: M1 without any sentiment, cognition, intent",
                        _mask(_TEXT_CURRENT + _TEXT_HISTORY)),
-        AblationPreset("M1 without modularity", _mask(["modularity"])),
-        AblationPreset("M3 without avgconnectiveness and avgbetweenness",
+        AblationPreset("m1_no_modularity", "M1 without modularity", _mask(["modularity"])),
+        AblationPreset("m3_no_avg_centrality", "M3 without avgconnectiveness and avgbetweenness",
                        _mask(_TEXT_CURRENT + _TEXT_HISTORY
                              + ["avg_connectiveness", "avg_betweenness"])),
     ]
 
 
-PRESET_KEYS = ["m1", "m2", "m3", "m1_no_modularity", "m3_no_avg_centrality"]
-
-
 def report_json(report):
     """Stable JSON for one preset's CV report."""
-    payload = {
-        "model_name": report.model_name,
-        "repeats": report.repeats,
-        "metrics": {
-            "precision": {"mean": report.precision, "std": report.precision_std},
-            "recall": {"mean": report.recall, "std": report.recall_std},
-            "f_measure": {"mean": report.f_measure, "std": report.f_measure_std},
-        },
-        "train_accuracy": {"mean": report.train_accuracy, "std": report.train_accuracy_std},
-    }
+    metrics = {key: {"mean": getattr(report, key), "std": getattr(report, key + "_std")}
+               for key in _METRICS}
+    payload = {"model_name": report.model_name, "repeats": report.repeats,
+               "train_accuracy": metrics.pop("train_accuracy"), "metrics": metrics}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

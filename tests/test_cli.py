@@ -285,6 +285,23 @@ class TestArtifactInterface:
         assert run_cli("--config", config_path, "--out", str(out), "--quiet",
                        "communities") == 0
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: {**s, "first_post": s["last_post"], "last_post": s["first_post"]},
+         "first_post must not be after last_post"),
+        (lambda s: {**s, "first_post": "yesterday"}, "unparseable timestamp 'yesterday'"),
+    ], ids=["swapped dates", "bad timestamp"])
+    def test_malformed_corpus_stats_exits_2(self, tmp_path, config_path, capsys, edit, message):
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest", "snapshots"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        path = out / "corpus_stats.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))),
+                        encoding="utf-8")
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet",
+                       "communities") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed {path}: ") and message in err
+
     def test_edge_row_outside_windows_rejected(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         for stage in ("synth", "ingest", "snapshots", "communities", "roles"):
@@ -384,11 +401,17 @@ def test_any_ingested_corpus_runs_or_fails_cleanly(case):
         (tmp / "run.cfg").write_text("\n".join([f"input = {tmp / 'corpus.jsonl'}", *config]),
                                      encoding="utf-8")
         codes = []
-        for out in ("a", "b"):
+        # one `run`, then the seven stages one by one up to the first failure
+        stages = ["ingest", "snapshots", "communities", "roles", "features", "train", "report"]
+        for out, commands in (("a", ["run"]), ("b", stages)):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                codes.append(main(["--config", str(tmp / "run.cfg"), "--out", str(tmp / out),
-                                   "--quiet", "run"]))
+                for command in commands:
+                    code = main(["--config", str(tmp / "run.cfg"), "--out", str(tmp / out),
+                                 "--quiet", command])
+                    if code != 0:
+                        break
+            codes.append(code)
             assert codes[-1] in (0, 2, 3)
             assert "Traceback" not in err.getvalue()
             assert (codes[-1] == 0) == (err.getvalue() == ""), err.getvalue()

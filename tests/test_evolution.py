@@ -1,9 +1,115 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from forumflux.evolution import (Role, Task, label_all, label_roles,
+from forumflux.evolution import (CommunityMatch, Role, RoleLabel, Task, label_all, label_roles,
                                  match_communities, roles_csv)
 
 from conftest import make_community
+
+
+def reference_match_communities(current, previous):
+    """Reference for match_communities: a scan per child over the sorted
+    parents, a strictly larger overlap replacing the best so far."""
+    matches = []
+    for child in sorted(current, key=lambda c: c.community_id):
+        best = None
+        best_overlap = 0
+        for parent in sorted(previous, key=lambda c: c.community_id):
+            overlap = len(child.members & parent.members)
+            if overlap > best_overlap:
+                best = parent
+                best_overlap = overlap
+        if best is None:
+            matches.append(CommunityMatch(child=child, parent=None, overlap=0,
+                                          persistence=0.0, continuity=0.0))
+        else:
+            matches.append(CommunityMatch(
+                child=child,
+                parent=best,
+                overlap=best_overlap,
+                persistence=best_overlap / len(child.members),
+                continuity=best_overlap / len(best.members),
+            ))
+    return matches
+
+
+def reference_label_roles(matches):
+    """Reference for label_roles: one assignment per role, its task spelled out."""
+    assigned = {task: {} for task in Task}
+
+    def put(task, user, role, community_id):
+        if user not in assigned[task]:
+            assigned[task][user] = (role, community_id)
+
+    for match in sorted(matches, key=lambda m: m.child.community_id):
+        if match.parent is None:
+            continue
+        child, parent = match.child, match.parent
+        shared = child.members & parent.members
+        if match.persistence > 0.5:
+            for user in sorted(child.members - parent.members):
+                put(Task.JOIN_VS_PREVIOUS, user, Role.JOINING, child.community_id)
+            for user in sorted(shared):
+                put(Task.JOIN_VS_PREVIOUS, user, Role.PREVIOUS, child.community_id)
+        if match.continuity >= 0.5:
+            for user in sorted(parent.members - child.members):
+                put(Task.LEAVE_VS_STAY, user, Role.LEAVING, parent.community_id)
+            for user in sorted(shared):
+                put(Task.LEAVE_VS_STAY, user, Role.STAYING, parent.community_id)
+
+    snapshot = None
+    for match in matches:
+        snapshot = match.child.snapshot_index
+        break
+    labels = []
+    for task in Task:
+        for user, (role, cid) in assigned[task].items():
+            labels.append(RoleLabel(user_id=user, snapshot_index=snapshot,
+                                    role=role, community_id=cid))
+    labels.sort(key=lambda l: (l.role.value, l.user_id))
+    return labels
+
+
+def communities(snapshot_index, spec):
+    """Communities from (community_id, members) pairs, in the given order."""
+    return [make_community(members, cid, snapshot_index=snapshot_index) for cid, members in spec]
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """(current, previous, order of the matches): up to 4 communities of 1-4
+    of 6 users per snapshot, overlapping freely, with distinct ids drawn in
+    any order, so overlaps tie and users sit in two communities."""
+    def snapshot(index, min_size):
+        member_sets = draw(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1,
+                                                  max_size=4), min_size=min_size, max_size=4))
+        ids = draw(st.lists(st.integers(0, 9), min_size=len(member_sets),
+                            max_size=len(member_sets), unique=True))
+        return communities(index, zip(ids, member_sets))
+    current, previous = snapshot(1, 1), snapshot(0, 0)
+    return current, previous, draw(st.permutations(range(len(current))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(snapshot_pairs())
+# tied overlaps: "ab" meets "ax" and "by" once each
+@example((communities(1, [(0, "ab")]), communities(0, [(1, "by"), (0, "ax")]), [0]))
+# a user who joins two children, over disjoint parents
+@example((communities(1, [(1, "wxyn"), (0, "abcn")]),
+          communities(0, [(0, "abcd"), (1, "wxyz")]), [1, 0]))
+# an empty previous snapshot
+@example((communities(1, [(0, "abc")]), [], [0]))
+# persistence and continuity both exactly one half
+@example((communities(1, [(0, "abxy")]), communities(0, [(0, "abcd")]), [0]))
+# zero overlap: no parent
+@example((communities(1, [(0, "ab"), (1, "cd")]), communities(0, [(0, "xy")]), [1, 0]))
+def test_role_rules_match_the_reference(case):
+    current, previous, order = case
+    matches = match_communities(current, previous)
+    assert matches == reference_match_communities(current, previous)
+    shuffled = [matches[i] for i in order]
+    assert label_roles(shuffled) == reference_label_roles(shuffled)
 
 
 def pair(prev_members_by_id, cur_members_by_id):

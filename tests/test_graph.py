@@ -33,7 +33,7 @@ class TestBuildWindows:
         last = datetime(2020, 1, 25, tzinfo=UTC)
         ws = build_windows(first, last, 24)
         assert len(ws) == 2
-        assert window_index(first, first + timedelta(days=24), 24) == 1
+        assert window_index(first, first + timedelta(days=24), timedelta(days=24)) == 1
 
     def test_contiguous_and_exact_width(self):
         ws = build_windows(T0, T0 + timedelta(days=100), 24)
@@ -48,7 +48,7 @@ class TestBuildWindows:
         rng = np.random.default_rng(0)
         for _ in range(200):
             ts = T0 + timedelta(seconds=float(rng.uniform(0, 70 * 86400)))
-            idx = window_index(T0, ts, 7)
+            idx = window_index(T0, ts, timedelta(days=7))
             hits = [w for w in ws if w.start <= ts < w.end]
             assert len(hits) == 1
             assert hits[0].index == idx
@@ -309,9 +309,9 @@ def test_edges_csv_format(day_window):
 
 def test_window_index_is_exact_at_boundaries():
     width = timedelta(days=24)
-    assert window_index(T0, T0 + width - timedelta(microseconds=1), 24) == 0
-    assert window_index(T0, T0 + width, 24) == 1
-    assert window_index(T0, T0 - timedelta(seconds=1), 24) == -1
+    assert window_index(T0, T0 + width - timedelta(microseconds=1), width) == 0
+    assert window_index(T0, T0 + width, width) == 1
+    assert window_index(T0, T0 - timedelta(seconds=1), width) == -1
 
 
 def test_window_graphs_matches_per_window_build():

@@ -126,7 +126,7 @@ class TestGradient:
 class TestTrain:
     def test_zero_weights_predict_half(self):
         m = model.LogisticModel(weights=np.zeros(2), bias=0.0,
-                                feature_mask=np.ones(2, bool), hyper=Hyper())
+                                feature_mask=np.ones(2, bool))
         assert m.predict_proba(np.array([[5.0, -3.0]]))[0] == 0.5
 
     def test_one_dimensional_separable(self):
@@ -194,7 +194,7 @@ class TestStackedTrain:
             X, y = separable_data(rng, n=int(rng.integers(40, 120)))
             X += rng.normal(scale=2.0, size=X.shape)
             y[: len(y) // 3] = 0.0  # imbalanced, so balance drops rows
-            presets = [AblationPreset(f"p{i}", mask)
+            presets = [AblationPreset(f"p{i}", f"p{i}", mask)
                        for i, mask in enumerate(random_masks(rng, 5))]
             hyper = Hyper(learning_rate=float(rng.uniform(0.05, 0.5)), epochs=60,
                           l2_lambda=float(rng.uniform(0, 0.1)))
@@ -364,7 +364,7 @@ class TestEvaluate:
 
     def test_all_negative_predictions(self):
         m = model.LogisticModel(weights=np.zeros(1), bias=-10.0,
-                                feature_mask=np.ones(1, bool), hyper=Hyper())
+                                feature_mask=np.ones(1, bool))
         metrics = evaluate(m, np.ones((4, 1)), np.array([1.0, 1.0, 0.0, 0.0]))
         assert metrics["precision"] == 0.0
         assert metrics["recall"] == 0.0
@@ -373,7 +373,7 @@ class TestEvaluate:
     def test_confusion_matrix_identities(self):
         # TP=2, FP=1, FN=2 fixture
         m = model.LogisticModel(weights=np.array([10.0]), bias=0.0,
-                                feature_mask=np.ones(1, bool), hyper=Hyper())
+                                feature_mask=np.ones(1, bool))
         X = np.array([[1.0], [1.0], [1.0], [-1.0], [-1.0], [-1.0]])
         y = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         metrics = evaluate(m, X, y)
