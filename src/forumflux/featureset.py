@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -48,6 +48,7 @@ class FeatureVector:
 
 FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
 N_FEATURES = len(FEATURE_NAMES)
+_feature_values = attrgetter(*FEATURE_NAMES)
 DATASET_COLUMNS = ["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES
 
 
@@ -198,7 +199,7 @@ def dataset_csv(examples):
     ordered = sorted(examples, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
     for ex in ordered:
         writer.writerow([ex.task.value, ex.snapshot_index, ex.user_id, ex.label]
-                        + [repr(v) for v in astuple(ex.features)])
+                        + [repr(v) for v in _feature_values(ex.features)])
     return buf.getvalue()
 
 

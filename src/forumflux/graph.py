@@ -45,10 +45,11 @@ def build_windows(first_post, last_post, window_days):
     if window_days <= 0:
         raise ConfigError(f"window_days must be positive, got {window_days}")
     width = timedelta(days=window_days)
-    return [
-        SnapshotWindow(index=i, start=first_post + i * width, end=first_post + (i + 1) * width)
-        for i in range(window_index(first_post, last_post, width) + 1)
-    ]
+    try:
+        return [SnapshotWindow(i, first_post + i * width, first_post + (i + 1) * width)
+                for i in range(window_index(first_post, last_post, width) + 1)]
+    except OverflowError:
+        raise ParseError(f"the {window_days}-day window calendar ends after year 9999") from None
 
 
 def window_index(first_post, ts, width):

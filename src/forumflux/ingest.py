@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -53,35 +54,43 @@ def parse_timestamp(text, where=""):
         raise ParseError(f"unparseable timestamp {text!r}{where}") from None
     if ts.tzinfo is None:
         raise ParseError(f"naive timestamp {text!r}{where}: UTC offset required")
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ParseError(f"timestamp {text!r}{where} lies outside years 1-9999 in UTC") from None
+    return ts.replace(microsecond=0) if ts.microsecond else ts
 
 
 def format_timestamp(ts):
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """ts in UTC as YYYY-MM-DDTHH:MM:SSZ, four-digit year; inverse of parse_timestamp."""
+    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"  # isoformat pads the year
 
 
-def _make_record(row, line_no, seen_ids):
-    """The PostRecord of row, a dict of field name -> text, once checked."""
-    where = f" at line {line_no}"
-    missing = [k for k in CSV_COLUMNS if k not in row]
-    if missing:
-        raise ParseError(f"missing field(s) {missing}{where}")
-    extra = [k for k in row if k not in CSV_COLUMNS]
-    if extra:
-        raise ParseError(f"unknown field(s) {extra}{where}")
-    post_id = row["post_id"]
+_FIELDS = frozenset(CSV_COLUMNS)
+_field_values = itemgetter(*CSV_COLUMNS)
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # from \u escapes, or bad bytes by surrogateescape
+_JSON = json.JSONEncoder(ensure_ascii=False)  # json.dumps would build one per row
+
+
+def _make_record(values, where, seen_ids, check_text=True):
+    """The PostRecord of values, the five fields' text in column order, once checked."""
+    bad = check_text and [k for k, v in zip(CSV_COLUMNS, values) if _SURROGATE_RE.search(v)]
+    if bad:
+        raise ParseError(f"field {bad[0]!r}{where} is not Unicode text: it holds a byte that "
+                         "is not UTF-8 or a lone surrogate escape")
+    post_id, thread_id, user_id, created_at, body = values
     if not post_id:
         raise ParseError(f"empty post_id{where}")
-    if not row["thread_id"]:
+    if not thread_id:
         raise ParseError(f"empty thread_id{where}")
-    if not row["user_id"]:
+    if not user_id:
         raise ParseError(f"empty user_id{where}")
-    if "\r" in row["user_id"]:  # the artifact CSVs end lines with \n and leave \r unquoted
+    if "\r" in user_id:  # the artifact CSVs end lines with \n and leave \r unquoted
         raise ParseError(f"carriage return in user_id{where}")
     if post_id in seen_ids:
         raise ParseError(f"duplicate post_id {post_id!r}{where}")
     seen_ids.add(post_id)
-    return PostRecord(**dict(row, created_at=parse_timestamp(row["created_at"], where)))
+    return PostRecord(post_id, thread_id, user_id, parse_timestamp(created_at, where), body)
 
 
 def parse_posts(stream, fmt):
@@ -90,36 +99,43 @@ def parse_posts(stream, fmt):
     Records come back in input order. Any malformed row, bad timestamp, or
     duplicate post_id aborts with a ParseError naming the offending line.
     """
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape", newline="")
     seen = set()
     records = []
     if fmt == "jsonl":
         for line_no, line in enumerate(text, start=1):
             if not line.strip():
                 continue
+            where = f" at line {line_no}"
             try:
                 obj = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise ParseError(f"malformed JSON at line {line_no}: {exc}") from None
+                raise ParseError(f"malformed JSON{where}: {exc}") from None
             if not isinstance(obj, dict):
-                raise ParseError(f"malformed row at line {line_no}: expected object")
-            for key in CSV_COLUMNS:  # integers are kept as their decimal text
-                if key in obj and type(obj[key]) not in (str, int):
-                    raise ParseError(f"field {key!r} at line {line_no} must be a string or "
-                                     f"an integer, got {json.dumps(obj[key])[:40]}")
-            records.append(_make_record({k: str(v) for k, v in obj.items()}, line_no, seen))
+                raise ParseError(f"malformed row{where}: expected object")
+            for key, value in obj.items():  # integers are kept as their decimal text
+                if type(value) is not str:
+                    if type(value) is not int and key in _FIELDS:
+                        raise ParseError(f"field {key!r}{where} must be a string or an "
+                                         f"integer, got {json.dumps(value)[:40]}")
+                    obj[key] = str(value)
+            if obj.keys() != _FIELDS:
+                missing = [k for k in CSV_COLUMNS if k not in obj]
+                raise ParseError(f"missing field(s) {missing}{where}" if missing else
+                                 f"unknown field(s) {[k for k in obj if k not in _FIELDS]}{where}")
+            records.append(_make_record(_field_values(obj), where, seen,
+                                        check_text="\\u" in line or not line.isascii()))
     elif fmt == "csv":
         reader = csv.reader(text)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             return []
         if header != CSV_COLUMNS:
             raise ParseError(f"bad CSV header {header}, expected {CSV_COLUMNS}")
         for row in reader:
             if len(row) != len(CSV_COLUMNS):
                 raise ParseError(f"malformed row at line {reader.line_num}: {len(row)} columns")
-            records.append(_make_record(dict(zip(CSV_COLUMNS, row)), reader.line_num, seen))
+            records.append(_make_record(row, f" at line {reader.line_num}", seen))
     else:
         raise ConfigError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
     return records
@@ -134,8 +150,7 @@ def serialize_posts(records, fmt):
             for rec in records)  # made as they are written, never all held at once
     buf = io.StringIO()
     if fmt == "jsonl":
-        buf.writelines(json.dumps(dict(zip(CSV_COLUMNS, row)), ensure_ascii=False) + "\n"
-                       for row in rows)
+        buf.writelines(_JSON.encode(dict(zip(CSV_COLUMNS, row))) + "\n" for row in rows)
     else:
         # RFC-4180 line endings; also forces quoting of bodies containing \r
         writer = csv.writer(buf, lineterminator="\r\n")

@@ -20,7 +20,7 @@ COGNITION_CATEGORIES = frozenset({"cogmech"})
 ALL_CATEGORIES = SENTIMENT_CATEGORIES | COGNITION_CATEGORIES
 
 _URL_RE = re.compile(r"https?\S*")
-_TOKEN_RE = re.compile(r"(?:[^\W\d_]|')+")
+_TOKEN_RE = re.compile(r"(?<!')'*[^\W\d_]+(?:'+[^\W\d_]*)*")  # (?<!'): linear on ' runs
 
 
 def tokenize(body):
@@ -29,8 +29,7 @@ def tokenize(body):
     Digits, punctuation, and URLs (http/https through the next whitespace)
     are dropped; all-apostrophe runs do not count as tokens.
     """
-    text = _URL_RE.sub(" ", body.lower())
-    return [t for t in _TOKEN_RE.findall(text) if t.strip("'")]
+    return _TOKEN_RE.findall(_URL_RE.sub(" ", body.lower()))
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,8 @@ class Lexicon:
     entries: tuple  # of (pattern, category)
     _exact: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     _prefixes: tuple = field(init=False, default=(), repr=False, compare=False)
-    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # token -> (matches a sentiment category, matches a cognition category)
+    _hits: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         exact = {}
@@ -59,12 +59,8 @@ class Lexicon:
 
     def categories_for(self, token):
         """Categories a token matches; exact entries shadow prefix entries."""
-        cats = self._memo.get(token)
-        if cats is None:
-            cats = frozenset(self._exact[token] if token in self._exact else
-                             (cat for stem, cat in self._prefixes if token.startswith(stem)))
-            self._memo[token] = cats
-        return cats
+        return frozenset(self._exact[token] if token in self._exact else
+                         (cat for stem, cat in self._prefixes if token.startswith(stem)))
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,6 @@ def default_intent_patterns():
     return load_intent_patterns(text.splitlines())
 
 
-def count_category(tokens, lexicon, categories):
-    """Tokens matching any listed category; each token counts at most once."""
-    return sum(1 for tok in tokens if lexicon.categories_for(tok) & categories)
-
-
 def count_intents(tokens, patterns):
     """Non-overlapping left-to-right phrase matches, longest phrase first."""
     count = 0
@@ -146,10 +137,17 @@ class TextMeasures:
 
 
 def text_measures(body, lexicon, patterns):
-    """Sentiment/cognition/intent counts for one post body."""
+    """Sentiment/cognition/intent counts for one post body; a token counts once per group."""
     tokens = tokenize(body)
-    return TextMeasures(
-        sentiment=count_category(tokens, lexicon, SENTIMENT_CATEGORIES),
-        cognition=count_category(tokens, lexicon, COGNITION_CATEGORIES),
-        intent=count_intents(tokens, patterns),
-    )
+    hits = lexicon._hits
+    sentiment = cognition = 0
+    for tok in tokens:
+        hit = hits.get(tok)
+        if hit is None:
+            cats = lexicon.categories_for(tok)
+            hit = hits[tok] = (bool(cats & SENTIMENT_CATEGORIES),
+                               bool(cats & COGNITION_CATEGORIES))
+        sentiment += hit[0]
+        cognition += hit[1]
+    intent = 0 if patterns._by_first.keys().isdisjoint(tokens) else count_intents(tokens, patterns)
+    return TextMeasures(sentiment=sentiment, cognition=cognition, intent=intent)

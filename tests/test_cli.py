@@ -342,6 +342,27 @@ class TestArtifactInterface:
             assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
         assert ",late-user,,0" in (out / "graphs" / "edges.csv").read_text(encoding="utf-8")
 
+    def test_corpus_dated_0999_runs(self, tmp_path, config_path):
+        posts = small_corpus()
+        shift = datetime(999, 1, 1, tzinfo=timezone.utc) - min(p.created_at for p in posts)
+        out = tmp_path / "out"
+        write_corpus(out, [replace(p, created_at=p.created_at + shift) for p in posts])
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "run") == 0
+        stats = json.loads((out / "corpus_stats.json").read_text(encoding="utf-8"))
+        assert stats["first_post"] == "0999-01-01T00:00:00Z"
+        assert '"created_at": "0999-01-01T00:00:00Z"' in (out / "posts.jsonl").read_text("utf-8")
+
+    def test_calendar_past_year_9999_fails_snapshots(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        write_corpus(out, [ingest.PostRecord(f"p{i}", "t", f"u{i}",
+                                             datetime(9999, 12, 31, i, tzinfo=timezone.utc), "")
+                           for i in range(2)])
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "ingest") == 0
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "snapshots") == 2
+        err = capsys.readouterr().err
+        assert err == "error: the 24-day window calendar ends after year 9999\n"
+        assert not (out / "graphs").exists()
+
     def test_features_rejects_graphs_from_another_calendar(self, tmp_path, config_path,
                                                            capsys):
         out = tmp_path / "out"
@@ -360,22 +381,34 @@ _ids = st.lists(st.text(st.sampled_from(['a', 'b', ',', '"', '\n', 'é', '中'])
                         max_size=3), min_size=8, max_size=12, unique=True)
 
 
+# local start of the corpus: near both ends of the datetime range and across year 999/1000;
+# the last one lies so close to the end that posts are clamped to datetime.max
+_starts = [datetime(2020, 1, 1), datetime(2020, 1, 1), datetime(1, 1, 1),
+           datetime(999, 12, 31, 12), datetime(9999, 12, 25), datetime(9999, 12, 31)]
+# with a start on 1 January, every offset but Z crosses a year boundary into UTC
+_offsets = ["Z", "Z", "+00:00", "+01:00", "-01:00", "+23:59", "-23:59"]
+
+
 @st.composite
 def fuzz_corpora(draw):
     """(JSONL bytes, config lines). Each 2-day window holds one thread whose
     posters are a window onto the user list that slides by 2-3 users per
     window, so most corpora have joiners, leavers and stayers to train on;
-    a few stray posts add noise."""
+    a few stray posts add noise. Timestamps share one UTC offset; some
+    corpora write every non-ASCII character as a \\u escape, and a few hold
+    a lone surrogate, escaped or as raw bytes."""
     users = draw(_ids)
     same_time = draw(st.sampled_from([False, False, False, True]))
+    start_at, offset = draw(st.sampled_from(_starts)), draw(st.sampled_from(_offsets))
     rows = []
 
     def post(w, thread, user, first=False):
         hours = 0 if same_time else 48 * w + (0 if first else draw(st.integers(0, 47)))
+        local = start_at + min(timedelta(hours=hours), datetime.max - start_at)
         rows.append({"post_id": f"{w}/{len(rows)}", "thread_id": thread, "user_id": user,
                      "body": draw(st.sampled_from(["happy", "thinking i will go", "",
-                                                   "sad think 中"])),
-                     "created_at": f"2020-01-{1 + hours // 24:02d}T{hours % 24:02d}:00:00Z"})
+                                                   "sad think 中", "naïve \U0001F600"])),
+                     "created_at": local.isoformat(timespec="seconds") + offset})
 
     start, size = 0, draw(st.integers(5, 7))
     for w in range(draw(st.sampled_from([3, 2, 3, 1]))):
@@ -384,14 +417,19 @@ def fuzz_corpora(draw):
         for user in draw(st.lists(st.sampled_from(users), max_size=3)):
             post(w, f"{w}/{draw(st.sampled_from('xy'))}", user)
         start += draw(st.integers(2, 3))
+    surrogate = draw(st.sampled_from(["", "", "", "", "", "", "\ud800", "x\udc80"]))
+    if surrogate:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.sampled_from(["body", "user_id"]))] += surrogate
     config = ["window_days = 2", "repeats = 2", "epochs = 30",
               f"seed = {draw(st.integers(0, 3))}",
               f"task = {draw(st.sampled_from(['LeaveVsStay', 'JoinVsPrevious']))}"]
-    corpus = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
-    return corpus.encode("utf-8"), config
+    escaped = draw(st.booleans())  # unescaped, a lone surrogate becomes bytes that are not UTF-8
+    corpus = "".join(json.dumps(row, ensure_ascii=escaped) + "\n" for row in rows)
+    return corpus.encode("utf-8", "surrogatepass"), config
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(fuzz_corpora())
 def test_any_ingested_corpus_runs_or_fails_cleanly(case):
     corpus, config = case

@@ -57,6 +57,13 @@ class TestBuildWindows:
         with pytest.raises(ConfigError):
             build_windows(T0, T0, 0)
 
+    def test_calendar_past_year_9999_rejected(self):
+        last_day = datetime(9999, 12, 31, tzinfo=UTC)
+        with pytest.raises(ParseError, match="^the 24-day window calendar ends after year 9999$"):
+            build_windows(last_day, last_day + timedelta(hours=1), 24)
+        assert build_windows(last_day - timedelta(days=2), last_day - timedelta(hours=1),
+                             1)[-1].end == last_day
+
 
 class TestBuildGraph:
     def test_empty_window(self, day_window):

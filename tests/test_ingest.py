@@ -1,6 +1,8 @@
 import io
+import json
 import re
-from datetime import timedelta, timezone
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,19 @@ class TestParsePosts:
         with pytest.raises(ParseError, match=expected):
             parse_bytes((good + bad).encode(), "jsonl")
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda row: row.pop("body"), r"missing field\(s\) \['body'\] at line 1$"),
+        (lambda row: [row.pop("user_id"), row.update(extra=1)],
+         r"missing field\(s\) \['user_id'\] at line 1$"),
+        (lambda row: row.update(extra="x", more=[]), r"unknown field\(s\) \['extra', 'more'\] at line 1$"),
+    ], ids=["missing", "missing and unknown", "unknown"])
+    def test_missing_and_unknown_fields_rejected(self, edit, message):
+        row = {"post_id": "p1", "thread_id": "t1", "user_id": "u1",
+               "created_at": "2000-04-21T00:00:00Z", "body": "x"}
+        edit(row)
+        with pytest.raises(ParseError, match=message):
+            parse_bytes((json.dumps(row) + "\n").encode(), "jsonl")
+
     def test_integer_ids_kept_as_decimal_text(self):
         row = (b'{"post_id":7,"thread_id":-3,"user_id":12345678901234567890,'
                b'"created_at":"2000-04-21T00:00:00Z","body":0}\n')
@@ -97,6 +112,67 @@ class TestParsePosts:
     def test_unknown_format(self):
         with pytest.raises(ConfigError):
             parse_bytes(b"", "xml")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("field", ["user_id", "body"])
+    def test_invalid_utf8_rejected_naming_line_and_field(self, fmt, field):
+        good = make_post("p1", "t1", "u1", body="café")
+        bad = ingest.serialize_posts([replace(good, post_id="p2", **{field: "a\u00ffb"})], fmt)
+        data = ingest.serialize_posts([good], fmt) + bad.split(b"\r\n", 1)[-1].replace(
+            "\u00ff".encode(), b"\xff")  # a byte that starts no UTF-8 sequence
+        line = 2 if fmt == "jsonl" else 3
+        with pytest.raises(ParseError, match=f"^field '{field}' at line {line} is not Unicode text"):
+            parse_bytes(data, fmt)
+
+    @pytest.mark.parametrize("field", ["user_id", "body"])
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udfff", "x\\udc80y", "\\ude00\\ud83d"])
+    def test_lone_surrogate_escape_rejected_naming_line_and_field(self, field, escape):
+        row = {"post_id": "p1", "thread_id": "t1", "user_id": "u1",
+               "created_at": "2000-04-21T00:00:00Z", "body": "x", field: escape}
+        good = ('{"post_id":"p0","thread_id":"t1","user_id":"u1",'
+                '"created_at":"2000-04-21T00:00:00Z","body":"x"}\n')
+        bad = "{" + ",".join(f'"{k}": "{v}"' for k, v in row.items()) + "}\n"
+        with pytest.raises(ParseError, match=f"field '{field}' at line 2 is not Unicode text: "
+                                             "it holds a byte that is not UTF-8 or a lone "
+                                             "surrogate escape$"):
+            parse_bytes((good + bad).encode(), "jsonl")
+
+    def test_valid_unicode_escapes_accepted(self):
+        row = (b'{"post_id":"p1","thread_id":"t1","user_id":"caf\\u00e9",'
+               b'"created_at":"2000-04-21T00:00:00Z","body":"\\ud83d\\ude00 \\\\ud800"}\n')
+        rec, = parse_bytes(row, "jsonl")
+        assert (rec.user_id, rec.body) == ("café", "\U0001F600 \\ud800")
+        assert parse_bytes(ingest.serialize_posts([rec], "jsonl"), "jsonl") == [rec]
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+    def test_timestamp_outside_the_datetime_range_in_utc_rejected(self, stamp):
+        row = ('{"post_id":"p1","thread_id":"t1","user_id":"u1",'
+               f'"created_at":"{stamp}","body":"x"}}\n')
+        with pytest.raises(ParseError, match=f"timestamp '{re.escape(stamp)}' at line 1 lies "
+                                             "outside years 1-9999 in UTC"):
+            parse_bytes(row.encode(), "jsonl")
+
+
+class TestTimestamps:
+    def test_years_before_1000_keep_four_digits(self):
+        ts = datetime(999, 1, 1, tzinfo=timezone.utc)
+        assert ingest.format_timestamp(ts) == "0999-01-01T00:00:00Z"
+        assert ingest.parse_timestamp("0999-01-01T00:00:00Z") == ts
+
+    def test_offset_converted_and_fraction_dropped(self):
+        ts = ingest.parse_timestamp("2000-01-01T00:30:00.75+01:00")
+        assert ts == datetime(1999, 12, 31, 23, 30, tzinfo=timezone.utc)
+        assert ingest.format_timestamp(ts) == "1999-12-31T23:30:00Z"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(timezones=st.just(timezone.utc)).map(lambda t: t.replace(microsecond=0)))
+    def test_round_trip_over_the_whole_range(self, ts):
+        assert ingest.parse_timestamp(ingest.format_timestamp(ts)) == ts
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.just(timezone.utc)))
+    def test_same_text_as_strftime_from_year_1000(self, ts):
+        assert ingest.format_timestamp(ts) == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 _record_strategy = st.builds(

@@ -1,13 +1,35 @@
+import re
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumflux.errors import ConfigError
-from forumflux.lexifeat import (ALL_CATEGORIES, SENTIMENT_CATEGORIES, IntentPatterns,
-                                Lexicon, count_category, count_intents,
+from forumflux.lexifeat import (ALL_CATEGORIES, COGNITION_CATEGORIES, SENTIMENT_CATEGORIES,
+                                IntentPatterns, Lexicon, TextMeasures, count_intents,
                                 default_intent_patterns, default_lexicon,
                                 load_intent_patterns, load_lexicon, text_measures,
                                 tokenize)
+
+
+def count_category(tokens, lexicon, categories):
+    """Tokens matching any listed category; each token counts at most once."""
+    return sum(1 for tok in tokens if lexicon.categories_for(tok) & categories)
+
+
+def reference_tokenize(body):
+    """Maximal runs of letters and apostrophes, then all-apostrophe runs filtered out."""
+    text = re.sub(r"https?\S*", " ", body.lower())
+    return [t for t in re.findall(r"(?:[^\W\d_]|')+", text) if t.strip("'")]
+
+
+def reference_text_measures(body, lexicon, patterns):
+    """One count_category pass per category group, then the intent scan."""
+    tokens = reference_tokenize(body)
+    return TextMeasures(sentiment=count_category(tokens, lexicon, SENTIMENT_CATEGORIES),
+                        cognition=count_category(tokens, lexicon, COGNITION_CATEGORIES),
+                        intent=count_intents(tokens, patterns))
 
 
 class TestTokenize:
@@ -29,6 +51,16 @@ class TestTokenize:
 
     def test_unicode_letters(self):
         assert tokenize("café naïve") == ["café", "naïve"]
+
+    def test_edge_apostrophes_kept_with_the_word(self):
+        assert tokenize("'tis o' ''x'' 1'a _b'") == ["'tis", "o'", "''x''", "'a", "b'"]
+
+    def test_long_apostrophe_run_takes_linear_time(self):
+        word = "'a" * 50_000 + "'" * 50_000
+        started = time.perf_counter()
+        assert tokenize("'" * 50_000 + " x " + word) == ["x", word]
+        # milliseconds; a scan that retries the run from each of its apostrophes takes about a minute
+        assert time.perf_counter() - started < 2.0
 
 
 SMALL_LEX = Lexicon(entries=(
@@ -169,3 +201,40 @@ def test_categories_for_is_stable_under_repeated_lookup():
                                       if pat.endswith("*") and tok.startswith(pat[:-1])}
         assert lex.categories_for(tok) == expected
     assert lex == default_lexicon()
+
+
+# a lexicon where one token sits in both groups and prefixes overlap exact entries
+MIXED_LEX = Lexicon(entries=(
+    ("happy", "posemo"), ("sad", "sadness"), ("think*", "cogmech"), ("thinker", "posemo"),
+    ("cross", "anger"), ("cross", "cogmech"), ("know", "cogmech"), ("don't", "negemo"),
+    ("caf*", "posemo"), ("naïve", "cogmech"), ("i", "posemo"),
+))
+DEFAULT_LEX = default_lexicon()
+PATTERNS = IntentPatterns(phrases=default_intent_patterns().phrases + (("to", "go", "to"),))
+_words = ["happy", "sad", "thinking", "thinker", "cross", "know", "don't", "'tis", "o'", "'",
+          "''", "café", "naïve", "Straße", "İstanbul", "ǅemal", "i", "will", "am", "going", "to",
+          "go", "i will", "I am going to", "we will", "to go to", "http://x.y/happy",
+          "https://a", "httpsad", "4u", "x1y", "a_b", "_", "9"]
+_bodies = st.lists(st.one_of(st.sampled_from(_words),
+                             st.text(alphabet="ab'_1 éİ.", max_size=6)),
+                   max_size=25).flatmap(
+    lambda parts: st.lists(st.sampled_from([" ", "", "'", ",", "\n", "-"]),
+                           min_size=len(parts), max_size=len(parts)).map(
+        lambda seps: "".join(p + s for p, s in zip(parts, seps))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies)
+def test_tokenize_matches_the_filter_reference(body):
+    assert tokenize(body) == reference_tokenize(body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies, st.sampled_from(["mixed", "default"]), st.booleans())
+def test_text_measures_match_the_two_pass_reference(body, which, fresh):
+    lexicon = {"mixed": MIXED_LEX, "default": DEFAULT_LEX}[which]
+    if fresh:  # an empty memo as well as one filled by earlier examples
+        lexicon = Lexicon(entries=lexicon.entries)
+    assert (text_measures(body, lexicon, PATTERNS)
+            == reference_text_measures(body, lexicon, PATTERNS))
+
