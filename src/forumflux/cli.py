@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage/config, 2 data error, 3 modeling error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import re
@@ -95,10 +96,11 @@ def load_config(path, *, overrides=()):
     """
     pairs = []
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        for line_no, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
+        try:
+            lines = Path(path).read_text("utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not UTF-8
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        for line_no, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -150,39 +152,33 @@ def _parse(key, default, text):
 
 
 def _word_list(path, what, load, default):
-    """load(lines of path), or default() when path is empty."""
+    """load(lines of path), or default() when path is empty; a ConfigError names the file."""
     if not path:
         return default()
     if not Path(path).exists():
         raise MissingArtifactError(f"{what} file not found: {path}")
-    return load(Path(path).read_text("utf-8").splitlines())
+    try:
+        return load(Path(path).read_text("utf-8").splitlines())
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from None
 
 
-def _require(path, producer):
-    if not Path(path).exists():
-        raise MissingArtifactError(f"missing artifact {path}; run '{producer}' first")
-
-
-def _read_csv(out_dir, name, producer, reader, *args):
-    """reader(fh, *args) over the CSV artifact name, which stage producer writes."""
+def _read(out_dir, name, producer, parse, *args):
+    """parse(file, *args) over the artifact name, which stage producer writes:
+    posts.jsonl as bytes, for ingest.parse_posts, the rest as UTF-8 text. A missing
+    file names producer; any error in decoding or parsing it names the file."""
     path = Path(out_dir) / name
-    _require(path, producer)
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return reader(fh, *args)
-        except ForumFluxError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-
-
-def _canonical_posts_path(out_dir):
-    return Path(out_dir) / "posts.jsonl"
-
-
-def _load_posts(out_dir):
-    path = _canonical_posts_path(out_dir)
-    _require(path, "ingest")
-    with open(path, "rb") as fh:
-        return ingest.parse_posts(fh, "jsonl")
+    if not path.exists():
+        raise MissingArtifactError(f"missing artifact {path}; run '{producer}' first")
+    try:
+        with (open(path, "rb") if name == "posts.jsonl"
+              else open(path, newline="", encoding="utf-8")) as fh:
+            return parse(fh, *args)
+    except ForumFluxError as exc:
+        raise type(exc)(f"malformed {path}: {exc}") from None
+    # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+    except (csv.Error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed {path}: {exc}") from None
 
 
 def _write(path, data):
@@ -209,7 +205,7 @@ def stage_ingest(cfg, out_dir):
         path = Path(cfg.input)
         fmt = cfg.format
     else:
-        path = _canonical_posts_path(out_dir)
+        path = Path(out_dir) / "posts.jsonl"
         fmt = "jsonl"
         if not path.exists() and (Path(out_dir) / "posts.csv").exists():
             path = Path(out_dir) / "posts.csv"
@@ -219,42 +215,41 @@ def stage_ingest(cfg, out_dir):
     with open(path, "rb") as fh:
         posts = ingest.parse_posts(fh, fmt)
     stats = ingest.corpus_stats(posts)
-    _write(_canonical_posts_path(out_dir), ingest.serialize_posts(posts, "jsonl"))
+    _write(Path(out_dir) / "posts.jsonl", ingest.serialize_posts(posts, "jsonl"))
     payload = {**asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
                "last_post": ingest.format_timestamp(stats.last_post)}
     _write(Path(out_dir) / "corpus_stats.json",
            json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _post_span(fh):
+    """(first_post, last_post) of a corpus_stats.json file."""
+    stats = json.load(fh)
+    first, last = (ingest.parse_timestamp(stats[k]) for k in ("first_post", "last_post"))
+    if first > last:
+        raise ParseError("first_post must not be after last_post")
+    return first, last
+
+
 def _windows(cfg, out_dir):
     """The window calendar, from the first and last post in corpus_stats.json."""
-    path = Path(out_dir) / "corpus_stats.json"
-    _require(path, "ingest")
-    try:
-        stats = json.loads(path.read_text("utf-8"))
-        first, last = (ingest.parse_timestamp(stats[k]) for k in ("first_post", "last_post"))
-    except (ValueError, KeyError, TypeError, AttributeError, ParseError) as exc:
-        raise ParseError(f"malformed {path}: {exc}") from None
-    if first > last:
-        raise ParseError(f"malformed {path}: first_post must not be after last_post")
-    return graph_mod.build_windows(first, last, cfg.window_days)
+    return graph_mod.build_windows(*_read(out_dir, "corpus_stats.json", "ingest", _post_span),
+                                   cfg.window_days)
 
 
 def stage_snapshots(cfg, out_dir):
-    graphs = graph_mod.window_graphs(_load_posts(out_dir), _windows(cfg, out_dir))
+    # the posts are freed once the graphs are built, before edges_csv runs
+    graphs = graph_mod.window_graphs(
+        _read(out_dir, "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
+        _windows(cfg, out_dir))
     _write(Path(out_dir) / "graphs" / "edges.csv", graph_mod.edges_csv(graphs))
 
 
 def _read_graphs(cfg, out_dir):
     """(windows, one graph per window) from graphs/edges.csv."""
     windows = _windows(cfg, out_dir)
-    return windows, _read_csv(out_dir, "graphs/edges.csv", "snapshots",
-                              graph_mod.graphs_from_csv, windows)
-
-
-def _read_communities(out_dir):
-    return _read_csv(out_dir, "communities.csv", "communities",
-                     community_mod.communities_from_csv)
+    return windows, _read(out_dir, "graphs/edges.csv", "snapshots", graph_mod.graphs_from_csv,
+                          windows)
 
 
 def stage_communities(cfg, out_dir):
@@ -265,25 +260,26 @@ def stage_communities(cfg, out_dir):
 
 
 def stage_roles(cfg, out_dir):
-    labels = evolution.label_all(_read_communities(out_dir))
+    labels = evolution.label_all(_read(out_dir, "communities.csv", "communities",
+                                       community_mod.communities_from_csv))
     _write(Path(out_dir) / "roles.csv", evolution.roles_csv(labels))
 
 
 def stage_features(cfg, out_dir):
-    labels = _read_csv(out_dir, "roles.csv", "roles", evolution.roles_from_csv)
-    ctx = featureset.FeatureContext(_load_posts(out_dir), *_read_graphs(cfg, out_dir),
-                                    _read_communities(out_dir),
-                                    _word_list(cfg.lexicon, "lexicon", lexifeat.load_lexicon,
-                                               lexifeat.default_lexicon),
-                                    _word_list(cfg.intents, "intent phrase",
-                                               lexifeat.load_intent_patterns,
-                                               lexifeat.default_intent_patterns))
+    labels = _read(out_dir, "roles.csv", "roles", evolution.roles_from_csv)
+    ctx = featureset.FeatureContext(
+        _read(out_dir, "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
+        *_read_graphs(cfg, out_dir),
+        _read(out_dir, "communities.csv", "communities", community_mod.communities_from_csv),
+        _word_list(cfg.lexicon, "lexicon", lexifeat.load_lexicon, lexifeat.default_lexicon),
+        _word_list(cfg.intents, "intent phrase", lexifeat.load_intent_patterns,
+                   lexifeat.default_intent_patterns))
     examples = featureset.build_dataset(labels, cfg.task, ctx)
     _write(Path(out_dir) / "dataset.csv", featureset.dataset_csv(examples))
 
 
 def stage_train(cfg, out_dir):
-    X, y = _read_csv(out_dir, "dataset.csv", "features", featureset.dataset_from_csv)
+    X, y = _read(out_dir, "dataset.csv", "features", featureset.dataset_from_csv)
     presets = model.table2_presets()
     reports = model.monte_carlo_cv(X, y, presets, repeats=cfg.repeats,
                                    train_fraction=cfg.train_fraction, hyper=cfg.hyper,
@@ -293,14 +289,9 @@ def stage_train(cfg, out_dir):
 
 
 def stage_report(cfg, out_dir):
-    reports = []
-    for preset in model.table2_presets():
-        path = Path(out_dir) / "reports" / f"{preset.key}.json"
-        _require(path, "train")
-        try:
-            reports.append(model.report_from_json(path.read_text("utf-8")))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"malformed report {path}: {exc}") from None
+    reports = [_read(out_dir, f"reports/{preset.key}.json", "train",
+                     lambda fh: model.report_from_json(fh.read()))
+               for preset in model.table2_presets()]
     _write(Path(out_dir) / "report_table.txt", model.report_table(reports))
 
 

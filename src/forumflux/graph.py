@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 
 SECONDS_PER_DAY = 86400.0
 EDGE_COLUMNS = ["snapshot_index", "user_a", "user_b", "weight"]
@@ -40,10 +40,8 @@ class InteractionGraph:
 
 
 def build_windows(first_post, last_post, window_days):
-    """Contiguous window_days-wide windows covering [first_post, last_post];
-    none when first_post is after last_post."""
-    if window_days <= 0:
-        raise ConfigError(f"window_days must be positive, got {window_days}")
+    """Contiguous window_days-wide windows (window_days >= 1) covering
+    [first_post, last_post]; none when first_post is after last_post."""
     width = timedelta(days=window_days)
     try:
         return [SnapshotWindow(i, first_post + i * width, first_post + (i + 1) * width)

@@ -87,6 +87,8 @@ def _make_record(values, where, seen_ids, check_text=True):
         raise ParseError(f"empty user_id{where}")
     if "\r" in user_id:  # the artifact CSVs end lines with \n and leave \r unquoted
         raise ParseError(f"carriage return in user_id{where}")
+    if len(user_id) > csv.field_size_limit():  # the artifact CSVs could not read it back
+        raise ParseError(f"user_id{where} is longer than {csv.field_size_limit()} characters")
     if post_id in seen_ids:
         raise ParseError(f"duplicate post_id {post_id!r}{where}")
     seen_ids.add(post_id)
@@ -125,26 +127,26 @@ def parse_posts(stream, fmt):
                                  f"unknown field(s) {[k for k in obj if k not in _FIELDS]}{where}")
             records.append(_make_record(_field_values(obj), where, seen,
                                         check_text="\\u" in line or not line.isascii()))
-    elif fmt == "csv":
-        reader = csv.reader(text)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if header != CSV_COLUMNS:
-            raise ParseError(f"bad CSV header {header}, expected {CSV_COLUMNS}")
-        for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise ParseError(f"malformed row at line {reader.line_num}: {len(row)} columns")
-            records.append(_make_record(row, f" at line {reader.line_num}", seen))
     else:
-        raise ConfigError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
+        reader = csv.reader(text)
+        try:
+            header = next(reader, None)
+            if header is None:
+                return []
+            if header != CSV_COLUMNS:
+                raise ParseError(f"bad CSV header {header}, expected {CSV_COLUMNS}")
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ParseError(f"malformed row at line {reader.line_num}: "
+                                     f"{len(row)} columns")
+                records.append(_make_record(row, f" at line {reader.line_num}", seen))
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     return records
 
 
 def serialize_posts(records, fmt):
     """Serialize records to bytes in 'jsonl' or 'csv'; inverse of parse_posts."""
-    if fmt not in ("jsonl", "csv"):
-        raise ConfigError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
     values = attrgetter(*CSV_COLUMNS)
     rows = ([format_timestamp(v) if isinstance(v, datetime) else v for v in values(rec)]
             for rec in records)  # made as they are written, never all held at once

@@ -87,8 +87,6 @@ class EvalReport:
 
 def normalize_fit(X):
     """Per-feature mean/std (population) from a training split."""
-    if X.shape[0] == 0:
-        raise ConfigError("cannot fit normalization on an empty training split")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
@@ -242,15 +240,11 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
                    seed=0, balance=False):
     """Repeated stratified random splits; per preset, metric means and std-devs.
 
-    Each repeat derives its own generator from (seed, repeat index), so the
-    reports are identical under any evaluation order, and all presets share
-    each repeat's split and normalization. Every split holds both classes on
-    its first draw. The repeats train in blocks of one gradient descent each.
+    repeats >= 1 and 0 < train_fraction < 1, as load_config checks. Each repeat derives its own
+    generator from (seed, repeat index), so the reports are identical under any evaluation
+    order, and all presets share each repeat's split and normalization. Every split holds both
+    classes on its first draw. The repeats train in blocks of one gradient descent each.
     """
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    if not 0 < train_fraction < 1:
-        raise ConfigError("train_fraction must lie in (0, 1)")
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
     splits = [(train_idx, test_idx, normalize_fit(X[train_idx]))

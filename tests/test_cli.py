@@ -4,6 +4,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -39,8 +40,32 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def built_tree(tmp_path_factory):
+    """(config path, output directory) of `synth` and `run` under SYNTH_CFG, built once
+    per module; a test that changes the tree works on a copy."""
+    root = tmp_path_factory.mktemp("built")
+    cfg = root / "pipeline.cfg"
+    cfg.write_text(SYNTH_CFG)
+    for command in ("synth", "run"):
+        assert run_cli("--config", str(cfg), "--out", str(root / "out"), "--quiet", command) == 0
+    return cfg, root / "out"
+
+
+def copy_tree(built_tree, tmp_path):
+    shutil.copytree(built_tree[1], tmp_path / "out")
+    return tmp_path / "out"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """`python -m forumflux.cli *argv` in a child process, where a traceback shows in stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "forumflux.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def artifact_tree(out_dir):
@@ -90,11 +115,9 @@ HUGE = "1" + "0" * 400  # an int that math.isfinite cannot convert to a float
 def test_malformed_config_value_exits_1(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SYNTH_CFG + line + "\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
     for command in ("synth", "run"):
-        proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
-                               "--out", str(tmp_path / "out"), "--quiet", command],
-                              capture_output=True, text=True, env=env)
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                          command)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -112,11 +135,9 @@ def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
                                                               n_windows=5)), "jsonl"))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SYNTH_CFG + f"input = {corpus}\n" + line + "\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
     for command in ("synth", "run"):
-        proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
-                               "--out", str(tmp_path / "out"), "--quiet", command],
-                              capture_output=True, text=True, env=env)
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                          command)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -125,10 +146,8 @@ def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
 
 
 def test_negative_seed_flag_exits_1(tmp_path, config_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", config_path,
-                           "--out", str(tmp_path / "out"), "--quiet", "--seed", "-1", "synth"],
-                          capture_output=True, text=True, env=env)
+    proc = run_module("--config", config_path, "--out", str(tmp_path / "out"), "--quiet",
+                      "--seed", "-1", "synth")
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -140,6 +159,30 @@ def test_huge_seed_flag_exits_1(tmp_path, capsys):
     assert run_cli("--out", str(tmp_path / "out"), "--quiet", "--seed", HUGE, "synth") == 1
     assert capsys.readouterr().err.startswith("error: config key 'seed' must be an integer")
     assert not (tmp_path / "out").exists()
+
+
+def test_config_file_not_utf8_exits_1(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(SYNTH_CFG.encode() + b"# caf\xe9\n")
+    for command in ("synth", "report"):
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                          command)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read config file {cfg}: "), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_lexicon_not_utf8_exits_1(built_tree, tmp_path):
+    out = copy_tree(built_tree, tmp_path)
+    lexicon = tmp_path / "words.tsv"
+    lexicon.write_bytes(b"happy\tposemo\n\xff\tposemo\n")
+    cfg = tmp_path / "lexicon.cfg"
+    cfg.write_text(SYNTH_CFG + f"lexicon = {lexicon}\n")
+    proc = run_module("--config", str(cfg), "--out", str(out), "--quiet", "features")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: lexicon file {lexicon}: "), proc.stderr
 
 
 def test_task_key_is_case_insensitive(tmp_path):
@@ -206,10 +249,7 @@ class TestFullRun:
             assert run_cli("--config", config_path, "--out", out, "--quiet", stage) == 0
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(SYNTH_CFG + "learning_rate = 1e300\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "forumflux.cli", "--config", str(cfg),
-                               "--out", out, "--quiet", "train"],
-                              capture_output=True, text=True, env=env)
+        proc = run_module("--config", str(cfg), "--out", out, "--quiet", "train")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("error: weights diverged at epoch "), proc.stderr
         assert not (Path(out) / "reports").exists()
@@ -374,6 +414,31 @@ class TestArtifactInterface:
             assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", stage) == 0
         assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", "features") == 2
         assert "rerun 'snapshots'" in capsys.readouterr().err
+
+
+def bad_byte(data):
+    return data + b"\xff"
+
+
+def garbled_last_line(data):
+    return data.rstrip(b"\n").rpartition(b"\n")[0] + b"\n?\n"
+
+
+@pytest.mark.parametrize("corrupt", [bad_byte, garbled_last_line], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name, stage", [
+    ("posts.jsonl", "snapshots"), ("corpus_stats.json", "snapshots"),
+    ("graphs/edges.csv", "communities"), ("communities.csv", "roles"), ("roles.csv", "features"),
+    ("dataset.csv", "train"), ("reports/m1.json", "report")])
+def test_malformed_artifact_exits_2_naming_it(built_tree, tmp_path, capsys, name, stage,
+                                              corrupt):
+    out = copy_tree(built_tree, tmp_path)
+    path = out / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    # in process, an exception that escapes main fails the test with its traceback
+    assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet", stage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {path}: "), err
+    assert "Traceback" not in err
 
 
 # ids mixing CSV metacharacters, newlines and non-ASCII text

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from forumflux import _kernels, graph as graph_mod
-from forumflux.errors import ConfigError, ParseError
+from forumflux.errors import ParseError
 from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
                              edges_csv, graphs_from_csv, node_index, window_graphs,
                              window_index)
@@ -52,10 +52,6 @@ class TestBuildWindows:
             hits = [w for w in ws if w.start <= ts < w.end]
             assert len(hits) == 1
             assert hits[0].index == idx
-
-    def test_zero_window_days_rejected(self):
-        with pytest.raises(ConfigError):
-            build_windows(T0, T0, 0)
 
     def test_calendar_past_year_9999_rejected(self):
         last_day = datetime(9999, 12, 31, tzinfo=UTC)

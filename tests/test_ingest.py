@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumflux import ingest
+from forumflux import graph, ingest
 from forumflux.errors import ConfigError, EmptyCorpusError, ParseError
 from forumflux.ingest import PostRecord, SynthParams
 
@@ -57,6 +58,26 @@ class TestParsePosts:
                '"created_at":"2000-04-21T00:00:00Z","body":"x"}\n')
         with pytest.raises(ParseError, match="carriage return in user_id at line 1"):
             parse_bytes(row.encode(), "jsonl")
+
+    def test_user_id_longer_than_the_csv_field_limit_rejected(self, day_window):
+        # graphs/edges.csv and the other artifact CSVs must read every user id back
+        limit = csv.field_size_limit()
+        longest = make_post("p1", "t1", "u" * limit)
+        edges = graph.edges_csv([graph.InteractionGraph(0, frozenset([longest.user_id]), {})])
+        assert graph.graphs_from_csv(io.StringIO(edges, newline=""),
+                                     [day_window])[0].nodes == {longest.user_id}
+        data = ingest.serialize_posts([longest, make_post("p2", "t1", "u" * 140_000)], "jsonl")
+        with pytest.raises(ParseError, match=f"^user_id at line 2 is longer than {limit} "
+                                             "characters$"):
+            parse_bytes(data, "jsonl")
+
+    @pytest.mark.parametrize("field", ["user_id", "body"])
+    def test_csv_field_longer_than_the_limit_names_the_line(self, field):
+        long_post = replace(make_post("p2", "t1", "u2"), **{field: "y" * 140_000})
+        data = ingest.serialize_posts([make_post("p1", "t1", "u1"), long_post], "csv")
+        with pytest.raises(ParseError, match="^malformed CSV at line 3: field larger than "
+                                             "field limit"):
+            parse_bytes(data, "csv")
 
     @pytest.mark.parametrize("field,value,shown", [
         ("user_id", "null", "null"), ("thread_id", '["a"]', '["a"]'),
@@ -108,10 +129,6 @@ class TestParsePosts:
     def test_csv_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_bytes(b"a,b,c\n", "csv")
-
-    def test_unknown_format(self):
-        with pytest.raises(ConfigError):
-            parse_bytes(b"", "xml")
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("field", ["user_id", "body"])
