@@ -1,10 +1,12 @@
 """Pipeline orchestration: config file, stage subcommands, artifact files.
 
 `load_config` parses the config file once into a frozen, typed `Config` and
-checks every value there, ranges included, so a bad config exits 1 before
-any stage writes, whatever the command. Each stage is `stage_x(cfg, out_dir)`:
-it reads plain CSV/JSON artifacts from the output directory and writes its
-own, so the pipeline can be resumed or inspected at any point. Window graphs
+checks every value there, ranges included, and loads the word lists it names,
+so a bad config exits 1 before any stage writes, whatever the command. Each
+stage is `stage_x(cfg, out_dir)`, out_dir a Path: it reads plain CSV/JSON
+artifacts from the output directory and writes its own, so the pipeline can
+be resumed or inspected at any point. Every file, the config and the input
+included, is read through `_read`, whose errors name the file. Window graphs
 are built once, by `snapshots`, and read back from graphs/edges.csv; the
 window calendar is read from corpus_stats.json. `run` executes all stages in
 order; identical config + inputs produce a byte-identical artifact tree.
@@ -21,7 +23,7 @@ import math
 import re
 import sys
 from collections import defaultdict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import community as community_mod
@@ -29,6 +31,7 @@ from . import evolution, featureset, graph as graph_mod, ingest, lexifeat, model
 from .errors import ConfigError, ForumFluxError, MissingArtifactError, ParseError, TrainingError
 
 _FORMATS = ("jsonl", "csv")
+_WORD_LISTS = {"lexicon": lexifeat.load_lexicon, "intents": lexifeat.load_intent_patterns}
 _BALANCE = {"1": True, "true": True, "yes": True, "downsample": True,
             "0": False, "false": False, "no": False}
 
@@ -38,22 +41,21 @@ class Config:
     """Every setting of a pipeline run, typed; `load_config` builds it."""
     input: str = ""
     format: str = "jsonl"
-    lexicon: str = ""
-    intents: str = ""
+    # the bundled word lists are read when a Config is made, not at import
+    lexicon: lexifeat.Lexicon = field(default_factory=lexifeat.default_lexicon)
+    intents: lexifeat.IntentPatterns = field(default_factory=lexifeat.default_intent_patterns)
     task: evolution.Task = evolution.Task.LEAVE_VS_STAY
     repeats: int = 20
     train_fraction: float = 0.7
     seed: int = 0
     balance: bool = False
     out: str = "out"
-    synth_format: str = "jsonl"
     propinquity: community_mod.PropinquityConfig = community_mod.PropinquityConfig()
     hyper: model.Hyper = model.Hyper()
     synth: ingest.SynthParams = ingest.SynthParams()
 
     def __post_init__(self):
         for key, ok, rule in (("format", self.format in _FORMATS, "jsonl or csv"),
-                              ("synth_format", self.synth_format in _FORMATS, "jsonl or csv"),
                               ("repeats", self.repeats >= 1, ">= 1"),
                               ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)"),
                               ("seed", self.seed >= 0, "non-negative")):
@@ -67,14 +69,13 @@ class Config:
         return self.synth.window_days
 
 
-_DEFAULT = Config()
+_DEFAULTS = {f.name: f.default for f in fields(Config)}  # MISSING for the word lists
 
 # config file key -> its Config field, a dotted name for a field of a nested setting
 _KEYS = {
     "input": "input", "format": "format", "lexicon": "lexicon", "intents": "intents",
     "task": "task", "repeats": "repeats", "train_fraction": "train_fraction", "seed": "seed",
-    "balance": "balance", "out": "out", "synth_format": "synth_format",
-    "alpha": "propinquity.alpha", "beta": "propinquity.beta",
+    "balance": "balance", "out": "out", "alpha": "propinquity.alpha", "beta": "propinquity.beta",
     "max_iterations": "propinquity.max_iterations",
     "min_community_size": "propinquity.min_community_size",
     "learning_rate": "hyper.learning_rate", "epochs": "hyper.epochs",
@@ -92,33 +93,19 @@ def load_config(path, *, overrides=()):
     after the file, parsed like its lines. Unknown keys are rejected, each
     value is parsed as the type of its key's default, and the range checks of
     Config, PropinquityConfig, Hyper and SynthParams run here: every problem
-    is a ConfigError naming the key, raised before any stage runs.
+    is a ConfigError naming the key, raised before any stage runs. The
+    lexicon and intents keys name files, loaded here into word lists.
     """
-    pairs = []
-    if path is not None:
-        try:
-            lines = Path(path).read_text("utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not UTF-8
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        for line_no, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"bad config line {line_no}: {line!r}")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigError(f"unknown config key {key!r} at line {line_no}")
-            pairs.append((key, value))
-    fields = defaultdict(dict)   # nested setting ("" for Config itself) -> field -> value
+    pairs = [] if path is None else _read(path, None, _config_pairs, error=ConfigError)
+    given = defaultdict(dict)   # nested setting ("" for Config itself) -> field -> value
     for key, text in [*pairs, *overrides]:
         group, _, name = _KEYS[key].rpartition(".")
-        default = getattr(getattr(_DEFAULT, group) if group else _DEFAULT, name)
-        fields[group][name] = _parse(key, default, text)
-    top = fields.pop("", {})
-    for group, values in fields.items():
+        default = getattr(_DEFAULTS[group], name) if group else _DEFAULTS[name]
+        given[group][name] = _parse(key, default, text)
+    top = given.pop("", {})
+    for group, values in given.items():
         try:
-            top[group] = replace(getattr(_DEFAULT, group), **values)
+            top[group] = replace(_DEFAULTS[group], **values)
         except ConfigError as exc:
             keys = [k for k, f in _KEYS.items() if f.startswith(group + ".")]
             named = [k for k in keys if re.search(rf"\b{_KEYS[k].partition('.')[2]}\b", str(exc))]
@@ -127,9 +114,30 @@ def load_config(path, *, overrides=()):
     return Config(**top)
 
 
+def _config_pairs(fh):
+    """(key, value) pairs of the lines of a config file."""
+    pairs = []
+    for line_no, line in enumerate(fh.read().splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"bad config line {line_no}: {line!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r} at line {line_no}")
+        pairs.append((key, value))
+    return pairs
+
+
 def _parse(key, default, text):
     """text as the type of default: bool and Task by spelling, numbers finite
-    (an int too large for a float counts as not finite)."""
+    (an int too large for a float counts as not finite), word lists loaded."""
+    if key in _WORD_LISTS:  # the name of a word list file
+        try:
+            return _read(text, None, _WORD_LISTS[key], error=ConfigError)
+        except ConfigError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
     if isinstance(default, (bool, evolution.Task)):
         choices = _BALANCE if isinstance(default, bool) else {t.value: t for t in evolution.Task}
         for spelling, value in choices.items():
@@ -151,38 +159,30 @@ def _parse(key, default, text):
     return value
 
 
-def _word_list(path, what, load, default):
-    """load(lines of path), or default() when path is empty; a ConfigError names the file."""
-    if not path:
-        return default()
-    if not Path(path).exists():
-        raise MissingArtifactError(f"{what} file not found: {path}")
+def _read(path, producer, parse, *args, error=ParseError):
+    """parse(file, *args) over the file at path, as bytes for ingest.parse_posts and as
+    UTF-8 text otherwise. A missing file names producer, the stage that writes it, if
+    any; every other failure to open, decode or parse it raises error naming the file
+    (a ForumFluxError keeps its type)."""
     try:
-        return load(Path(path).read_text("utf-8").splitlines())
-    except (UnicodeDecodeError, ConfigError) as exc:
-        raise ConfigError(f"{what} file {path}: {exc}") from None
-
-
-def _read(out_dir, name, producer, parse, *args):
-    """parse(file, *args) over the artifact name, which stage producer writes:
-    posts.jsonl as bytes, for ingest.parse_posts, the rest as UTF-8 text. A missing
-    file names producer; any error in decoding or parsing it names the file."""
-    path = Path(out_dir) / name
-    if not path.exists():
-        raise MissingArtifactError(f"missing artifact {path}; run '{producer}' first")
-    try:
-        with (open(path, "rb") if name == "posts.jsonl"
-              else open(path, newline="", encoding="utf-8")) as fh:
+        fh = (open(path, "rb") if parse is ingest.parse_posts
+              else open(path, newline="", encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, or unreadable
+        if producer and isinstance(exc, FileNotFoundError):
+            raise MissingArtifactError(f"missing artifact {path}; run '{producer}' first")
+        raise error(f"cannot read {path}: {exc}") from None
+    with fh:
+        try:
             return parse(fh, *args)
-    except ForumFluxError as exc:
-        raise type(exc)(f"malformed {path}: {exc}") from None
-    # ValueError covers UnicodeDecodeError and json.JSONDecodeError
-    except (csv.Error, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"malformed {path}: {exc}") from None
+        except ForumFluxError as exc:
+            raise type(exc)(f"malformed {path}: {exc}") from None
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+        except (csv.Error, ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
+            raise error(f"malformed {path}: {exc}") from None
 
 
 def _write(path, data):
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(data, bytes):
         path.write_bytes(data)
@@ -196,30 +196,17 @@ def _write(path, data):
 
 def stage_synth(cfg, out_dir):
     posts = ingest.generate_synthetic_forum(cfg.seed, cfg.synth)
-    _write(Path(out_dir) / f"posts.{cfg.synth_format}",
-           ingest.serialize_posts(posts, cfg.synth_format))
+    _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts, "jsonl"))
 
 
 def stage_ingest(cfg, out_dir):
-    if cfg.input:
-        path = Path(cfg.input)
-        fmt = cfg.format
-    else:
-        path = Path(out_dir) / "posts.jsonl"
-        fmt = "jsonl"
-        if not path.exists() and (Path(out_dir) / "posts.csv").exists():
-            path = Path(out_dir) / "posts.csv"
-            fmt = "csv"
-    if not path.exists():
-        raise MissingArtifactError(f"input file not found: {path}")
-    with open(path, "rb") as fh:
-        posts = ingest.parse_posts(fh, fmt)
+    posts = (_read(cfg.input, None, ingest.parse_posts, cfg.format) if cfg.input
+             else _read(out_dir / "posts.jsonl", "synth", ingest.parse_posts, "jsonl"))
     stats = ingest.corpus_stats(posts)
-    _write(Path(out_dir) / "posts.jsonl", ingest.serialize_posts(posts, "jsonl"))
+    _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts, "jsonl"))
     payload = {**asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
                "last_post": ingest.format_timestamp(stats.last_post)}
-    _write(Path(out_dir) / "corpus_stats.json",
-           json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "corpus_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _post_span(fh):
@@ -233,66 +220,64 @@ def _post_span(fh):
 
 def _windows(cfg, out_dir):
     """The window calendar, from the first and last post in corpus_stats.json."""
-    return graph_mod.build_windows(*_read(out_dir, "corpus_stats.json", "ingest", _post_span),
-                                   cfg.window_days)
+    return graph_mod.build_windows(
+        *_read(out_dir / "corpus_stats.json", "ingest", _post_span), cfg.window_days)
 
 
 def stage_snapshots(cfg, out_dir):
     # the posts are freed once the graphs are built, before edges_csv runs
     graphs = graph_mod.window_graphs(
-        _read(out_dir, "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
+        _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
         _windows(cfg, out_dir))
-    _write(Path(out_dir) / "graphs" / "edges.csv", graph_mod.edges_csv(graphs))
+    _write(out_dir / "graphs" / "edges.csv", graph_mod.edges_csv(graphs))
 
 
 def _read_graphs(cfg, out_dir):
     """(windows, one graph per window) from graphs/edges.csv."""
     windows = _windows(cfg, out_dir)
-    return windows, _read(out_dir, "graphs/edges.csv", "snapshots", graph_mod.graphs_from_csv,
-                          windows)
+    return windows, _read(out_dir / "graphs" / "edges.csv", "snapshots",
+                          graph_mod.graphs_from_csv, windows)
 
 
 def stage_communities(cfg, out_dir):
     communities = []
     for g in _read_graphs(cfg, out_dir)[1]:
         communities.extend(community_mod.detect_communities(g, cfg.propinquity))
-    _write(Path(out_dir) / "communities.csv", community_mod.communities_csv(communities))
+    _write(out_dir / "communities.csv", community_mod.communities_csv(communities))
 
 
 def stage_roles(cfg, out_dir):
-    labels = evolution.label_all(_read(out_dir, "communities.csv", "communities",
+    labels = evolution.label_all(_read(out_dir / "communities.csv", "communities",
                                        community_mod.communities_from_csv))
-    _write(Path(out_dir) / "roles.csv", evolution.roles_csv(labels))
+    _write(out_dir / "roles.csv", evolution.roles_csv(labels))
 
 
 def stage_features(cfg, out_dir):
-    labels = _read(out_dir, "roles.csv", "roles", evolution.roles_from_csv)
+    labels = _read(out_dir / "roles.csv", "roles", evolution.roles_from_csv)
     ctx = featureset.FeatureContext(
-        _read(out_dir, "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
+        _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
         *_read_graphs(cfg, out_dir),
-        _read(out_dir, "communities.csv", "communities", community_mod.communities_from_csv),
-        _word_list(cfg.lexicon, "lexicon", lexifeat.load_lexicon, lexifeat.default_lexicon),
-        _word_list(cfg.intents, "intent phrase", lexifeat.load_intent_patterns,
-                   lexifeat.default_intent_patterns))
+        _read(out_dir / "communities.csv", "communities", community_mod.communities_from_csv),
+        cfg.lexicon, cfg.intents)
     examples = featureset.build_dataset(labels, cfg.task, ctx)
-    _write(Path(out_dir) / "dataset.csv", featureset.dataset_csv(examples))
+    _write(out_dir / "dataset.csv", featureset.dataset_csv(examples))
 
 
 def stage_train(cfg, out_dir):
-    X, y = _read(out_dir, "dataset.csv", "features", featureset.dataset_from_csv)
+    X, y = _read(out_dir / "dataset.csv", "features", featureset.dataset_from_csv)
     presets = model.table2_presets()
     reports = model.monte_carlo_cv(X, y, presets, repeats=cfg.repeats,
                                    train_fraction=cfg.train_fraction, hyper=cfg.hyper,
                                    seed=cfg.seed, balance=cfg.balance)
     for preset, report in zip(presets, reports):
-        _write(Path(out_dir) / "reports" / f"{preset.key}.json", model.report_json(report))
+        _write(out_dir / "reports" / f"{preset.key}.json", model.report_json(report))
 
 
 def stage_report(cfg, out_dir):
-    reports = [_read(out_dir, f"reports/{preset.key}.json", "train",
+    reports = [_read(out_dir / "reports" / f"{preset.key}.json", "train",
                      lambda fh: model.report_from_json(fh.read()))
                for preset in model.table2_presets()]
-    _write(Path(out_dir) / "report_table.txt", model.report_table(reports))
+    _write(out_dir / "report_table.txt", model.report_table(reports))
 
 
 _STAGES = {
@@ -346,7 +331,7 @@ def main(argv=None):
     try:
         seed = () if args.seed is None else [("seed", args.seed)]
         cfg = load_config(args.config, overrides=seed)
-        out_dir = args.out or cfg.out
+        out_dir = Path(args.out or cfg.out)
         if args.command == "run":
             run_pipeline(cfg, out_dir, quiet=args.quiet)
         else:

@@ -111,7 +111,7 @@ def parse_posts(stream, fmt):
             where = f" at line {line_no}"
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, too deep
                 raise ParseError(f"malformed JSON{where}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"malformed row{where}: expected object")

@@ -78,7 +78,7 @@ class IntentPatterns:
 
 
 def load_lexicon(lines):
-    """Parse TSV lexicon lines (pattern<TAB>category, '#' comments)."""
+    """Parse TSV lexicon lines (pattern<TAB>category, '#' comments), a list or a file."""
     entries = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -86,13 +86,13 @@ def load_lexicon(lines):
             continue
         parts = stripped.split("\t")
         if len(parts) != 2:
-            raise ConfigError(f"bad lexicon line {line_no}: {line!r}")
+            raise ConfigError(f"bad lexicon line {line_no}: {stripped!r}")
         entries.append((parts[0].lower(), parts[1].lower()))
     return Lexicon(entries=tuple(entries))
 
 
 def load_intent_patterns(lines):
-    """Parse intent phrase lines, one lowercase phrase per line."""
+    """Parse intent phrase lines, one lowercase phrase per line, a list or a file."""
     phrases = []
     for line in lines:
         stripped = line.strip().lower()

@@ -90,16 +90,6 @@ class TestStages:
         out = str(tmp_path / "out")
         assert run_cli("--config", config_path, "--out", out, "--quiet", "ingest") == 2
 
-    def test_missing_lexicon_named_in_diagnostic(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(SYNTH_CFG + "lexicon = /nonexistent/words.tsv\n")
-        out = str(tmp_path / "out")
-        for stage in ("synth", "ingest", "snapshots", "communities", "roles"):
-            assert run_cli("--config", str(cfg), "--out", out, "--quiet", stage) == 0
-        code = run_cli("--config", str(cfg), "--out", out, "--quiet", "features")
-        assert code == 2
-        assert "/nonexistent/words.tsv" in capsys.readouterr().err
-
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("surprise = 1\n")
@@ -124,11 +114,14 @@ def test_malformed_config_value_exits_1(tmp_path, line):
         assert line.split()[0] in proc.stderr
 
 
+# {tmp} is the test's directory: a word list that is missing, or a directory
 @pytest.mark.parametrize("line", ["repeats = 0", "train_fraction = 1", "epochs = 0", "beta = 1",
                                   "window_days = 0", "task = bogus", "format = xml",
-                                  "synth_format = xml", "synth_n_users = 0",
-                                  "synth_n_users = 5"])
+                                  "synth_n_users = 0", "synth_n_users = 5",
+                                  "lexicon = {tmp}/missing.tsv", "lexicon = {tmp}",
+                                  "intents = {tmp}/missing.txt", "intents = {tmp}"])
 def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
+    line = line.format(tmp=tmp_path)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(ingest.serialize_posts(
         ingest.generate_synthetic_forum(7, ingest.SynthParams(n_users=60, n_threads=96,
@@ -169,20 +162,23 @@ def test_config_file_not_utf8_exits_1(tmp_path):
                           command)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"error: cannot read config file {cfg}: "), proc.stderr
+        assert proc.stderr.startswith(f"error: malformed {cfg}: "), proc.stderr
     assert not (tmp_path / "out").exists()
 
 
-def test_lexicon_not_utf8_exits_1(built_tree, tmp_path):
-    out = copy_tree(built_tree, tmp_path)
-    lexicon = tmp_path / "words.tsv"
-    lexicon.write_bytes(b"happy\tposemo\n\xff\tposemo\n")
+@pytest.mark.parametrize("key, text", [("lexicon", b"happy\tposemo\n\xff\tposemo\n"),
+                                       ("intents", b"i will go\n\xff bye\n")],
+                         ids=["lexicon", "intents"])
+def test_lexicon_not_utf8_exits_1(tmp_path, key, text):
+    words = tmp_path / "words.txt"
+    words.write_bytes(text)
     cfg = tmp_path / "lexicon.cfg"
-    cfg.write_text(SYNTH_CFG + f"lexicon = {lexicon}\n")
-    proc = run_module("--config", str(cfg), "--out", str(out), "--quiet", "features")
+    cfg.write_text(SYNTH_CFG + f"{key} = {words}\n")
+    proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet", "synth")
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith(f"error: lexicon file {lexicon}: "), proc.stderr
+    assert proc.stderr.startswith(f"error: config key {key!r}: malformed {words}: "), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_task_key_is_case_insensitive(tmp_path):
@@ -262,13 +258,51 @@ class TestFullRun:
         assert (a / "posts.jsonl").read_bytes() != (b / "posts.jsonl").read_bytes()
 
 
-def test_synth_csv_format(tmp_path):
-    cfg = tmp_path / "csv.cfg"
-    cfg.write_text(SYNTH_CFG + "synth_format = csv\n")
-    out = tmp_path / "out"
-    assert run_cli("--config", str(cfg), "--out", str(out), "--quiet", "synth") == 0
-    assert (out / "posts.csv").exists()
-    assert run_cli("--config", str(cfg), "--out", str(out), "--quiet", "ingest") == 0
+def test_csv_input_runs_like_jsonl_input(tmp_path):
+    posts = small_corpus()
+    for fmt in ("csv", "jsonl"):
+        (tmp_path / f"corpus.{fmt}").write_bytes(ingest.serialize_posts(posts, fmt))
+        cfg = tmp_path / f"{fmt}.cfg"
+        cfg.write_text(SYNTH_CFG + f"input = {tmp_path / f'corpus.{fmt}'}\nformat = {fmt}\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / fmt), "--quiet", "run") == 0
+    trees = [tmp_path / fmt for fmt in ("csv", "jsonl")]
+    assert artifact_tree(trees[0]) == artifact_tree(trees[1])
+    for rel in artifact_tree(trees[0]):
+        assert filecmp.cmp(trees[0] / rel, trees[1] / rel, shallow=False), rel
+
+
+@pytest.mark.parametrize("bad_line", [
+    b"[" * 100_000, b'{"post_id": "x", "thread_id": "t", "user_id": "' + b"u" * 140_000
+    + b'", "created_at": "2020-01-01T00:00:00Z", "body": ""}'], ids=["deep", "long user id"])
+def test_input_error_names_the_file_and_line(tmp_path, capsys, bad_line):
+    lines = ingest.serialize_posts(small_corpus()[:4], "jsonl").splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"".join(lines[:2]) + bad_line + b"\n" + b"".join(lines[2:]))
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text(SYNTH_CFG + f"input = {corpus}\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet", "run") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage ingest: malformed {corpus}: "), err
+    assert "line 3" in err
+
+
+def test_input_that_is_a_directory_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text(SYNTH_CFG + f"input = {tmp_path}\n")
+    # in process, an exception that escapes main fails the test with its traceback
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                   "ingest") == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_artifact_that_is_a_directory_exits_2(built_tree, tmp_path, capsys):
+    out = copy_tree(built_tree, tmp_path)
+    path = out / "graphs" / "edges.csv"
+    path.unlink()
+    path.mkdir()
+    assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                   "communities") == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 def write_corpus(out, posts):
@@ -424,7 +458,12 @@ def garbled_last_line(data):
     return data.rstrip(b"\n").rpartition(b"\n")[0] + b"\n?\n"
 
 
-@pytest.mark.parametrize("corrupt", [bad_byte, garbled_last_line], ids=lambda f: f.__name__)
+def deep_nesting(data):
+    return b"[" * 100_000  # too deep for Python's json to parse
+
+
+@pytest.mark.parametrize("corrupt", [bad_byte, garbled_last_line, deep_nesting],
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("name, stage", [
     ("posts.jsonl", "snapshots"), ("corpus_stats.json", "snapshots"),
     ("graphs/edges.csv", "communities"), ("communities.csv", "roles"), ("roles.csv", "features"),

@@ -121,6 +121,11 @@ class TestParsePosts:
         with pytest.raises(ParseError, match="malformed JSON at line 1"):
             parse_bytes(row.encode(), "jsonl")
 
+    def test_nesting_too_deep_to_decode_names_the_line(self):
+        data = ingest.serialize_posts([make_post("p1", "t1", "u1")], "jsonl") + b"[" * 100_000
+        with pytest.raises(ParseError, match="malformed JSON at line 2: maximum recursion"):
+            parse_bytes(data, "jsonl")
+
     def test_csv_round_trips_newlines_in_body(self):
         rec = make_post("p1", "t1", "u1", body="line one\nline two")
         data = ingest.serialize_posts([rec], "csv")
