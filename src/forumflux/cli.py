@@ -196,14 +196,14 @@ def _write(path, data):
 
 def stage_synth(cfg, out_dir):
     posts = ingest.generate_synthetic_forum(cfg.seed, cfg.synth)
-    _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts, "jsonl"))
+    _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts))
 
 
 def stage_ingest(cfg, out_dir):
     posts = (_read(cfg.input, None, ingest.parse_posts, cfg.format) if cfg.input
              else _read(out_dir / "posts.jsonl", "synth", ingest.parse_posts, "jsonl"))
     stats = ingest.corpus_stats(posts)
-    _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts, "jsonl"))
+    _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts))
     payload = {**asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
                "last_post": ingest.format_timestamp(stats.last_post)}
     _write(out_dir / "corpus_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -77,7 +77,6 @@ class FeatureContext:
         self.graphs = {g.snapshot_index: g for g in graphs}
         self.communities = communities_by_snapshot
         posts = sorted(posts, key=attrgetter("created_at"))
-        self.corpus_start = posts[0].created_at
         self.activity = {}
         for k, bucket in enumerate(graph_mod.posts_by_window(posts, self.windows)):
             for p in bucket:
@@ -110,12 +109,12 @@ def assemble_features(ctx, user, snapshot_index):
     the windows where the user posted, which the calendar check in
     FeatureContext makes the windows where the user is a node.
     """
-    window = ctx.windows[snapshot_index]
     by_window = ctx.activity.get(user)
     if by_window is None:
         raise ForumFluxError(f"unknown user {user!r}")
     if snapshot_index not in by_window:
         raise ForumFluxError(f"user {user!r} has no activity at snapshot {snapshot_index}")
+    window = ctx.windows[snapshot_index]  # a calendar index: the user posted in it
     sentiment, cognition, intent = _text_sums(by_window[snapshot_index])
 
     prior_snaps = [k for k in by_window if k < snapshot_index]
@@ -132,7 +131,7 @@ def assemble_features(ctx, user, snapshot_index):
     else:
         avg_sent = avg_cog = avg_int = last_sent = last_cog = last_int = 0.0
         avg_clo = avg_bet = last_clo = last_bet = 0.0
-        since = ctx.corpus_start
+        since = ctx.windows[0].start  # the corpus's first post
     last_activity = (window.start - since).total_seconds() / graph_mod.SECONDS_PER_DAY
 
     return FeatureVector(

@@ -71,9 +71,11 @@ def build_graph(posts, window):
 
 
 def posts_by_window(posts, windows):
-    """Each window's posts, in input order. A post outside the contiguous
-    calendar is a ParseError: the calendar comes from corpus_stats.json, so
-    such a post means posts.jsonl changed after 'ingest'."""
+    """Each window's posts, in input order. No posts, or a post outside the
+    contiguous calendar, is a ParseError: the calendar comes from
+    corpus_stats.json, so either means posts.jsonl changed after 'ingest'."""
+    if not posts:
+        raise ParseError("posts.jsonl holds no posts; rerun 'ingest'")
     first, width = windows[0].start, windows[0].end - windows[0].start
     buckets = [[] for _ in windows]
     for post in posts:

@@ -145,19 +145,13 @@ def parse_posts(stream, fmt):
     return records
 
 
-def serialize_posts(records, fmt):
-    """Serialize records to bytes in 'jsonl' or 'csv'; inverse of parse_posts."""
+def serialize_posts(records):
+    """Serialize records to JSONL bytes; inverse of parse_posts with fmt 'jsonl'."""
     values = attrgetter(*CSV_COLUMNS)
     rows = ([format_timestamp(v) if isinstance(v, datetime) else v for v in values(rec)]
             for rec in records)  # made as they are written, never all held at once
     buf = io.StringIO()
-    if fmt == "jsonl":
-        buf.writelines(_JSON.encode(dict(zip(CSV_COLUMNS, row))) + "\n" for row in rows)
-    else:
-        # RFC-4180 line endings; also forces quoting of bodies containing \r
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+    buf.writelines(_JSON.encode(dict(zip(CSV_COLUMNS, row))) + "\n" for row in rows)
     return buf.getvalue().encode("utf-8")
 
 

@@ -8,20 +8,21 @@ repeats train together: one gradient descent over a stack of training sets,
 a weight matrix per set with a row per preset. Each row's gradient is
 masked, so masked weights stay exactly 0. The epoch loop writes into buffers
 allocated once per call, and each epoch checks that the weights are finite;
-the loss is computed once per model, at the end. Repeats are stacked in
+the loss is computed once per fit, at the end. Repeats are stacked in
 blocks of at most _BLOCK_ELEMENTS training values, so memory stays bounded
-however many repeats there are.
+however many repeats there are. A fit is its row of the weight stack, and a
+block's fits are scored together, with one stacked product per split.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, ParseError, TrainingError
 from .featureset import FEATURE_NAMES, N_FEATURES
 
 _IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
@@ -48,20 +49,6 @@ class Hyper:
 class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray  # zero-variance columns carry std 1 (pass-through centering)
-
-
-@dataclass(frozen=True)
-class LogisticModel:
-    weights: np.ndarray
-    bias: float
-    feature_mask: np.ndarray
-
-    def predict_proba(self, X):
-        z = X @ self.weights + self.bias
-        return 1.0 / (1.0 + np.exp(-z))
-
-    def predict(self, X):
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -114,7 +101,8 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
 def train(X, y, masks, hyper=Hyper()):
     """Gradient descent from zero init on a stack of training sets, X of shape
     (r, m, d) and y of shape (r, m): one weight matrix per set, a row per mask.
-    Returns, per set, one LogisticModel per mask."""
+    Returns the weight stack W, of shape (r, k, d) for k masks, and the biases
+    b, of shape (r, k)."""
     M = np.array(masks, dtype=bool)
     for labels in y:
         pos = int((labels == 1).sum())
@@ -159,23 +147,29 @@ def train(X, y, masks, hyper=Hyper()):
                   for Ws, bs, Xs, ys in zip(W, b, X, y) for w, bias in zip(Ws, bs)]
     if not np.isfinite(losses).all():
         raise TrainingError(f"final losses {losses} are not all finite")
-    return [[LogisticModel(weights=w, bias=float(bias), feature_mask=mask)
-             for w, bias, mask in zip(Ws, bs, M)] for Ws, bs in zip(W, b)]
+    return W, b
 
 
-def evaluate(model, X, y):
-    """Precision/recall/F/accuracy at threshold 0.5, zero-denominator safe."""
-    pred = model.predict(X)
-    tp = int(((pred == 1) & (y == 1)).sum())
-    fp = int(((pred == 1) & (y == 0)).sum())
-    fn = int(((pred == 0) & (y == 1)).sum())
-    tn = int(((pred == 0) & (y == 0)).sum())
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f_measure = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    accuracy = (tp + tn) / len(y)
-    return {"precision": precision, "recall": recall,
-            "f_measure": f_measure, "accuracy": accuracy}
+def _ratio(num, den):
+    """num / den, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
+
+
+def _score(W, b, X, y):
+    """Precision, recall, F and accuracy, each of shape (r, k), of the predictions
+    1 / (1 + exp(-z)) >= 0.5 of the stack W (r, k, d), b (r, k) on the sets X
+    (r, n, d) with 0/1 labels y (r, n); a zero denominator gives 0."""
+    p = np.matmul(W, X.transpose(0, 2, 1))  # z, then P in place: one (r, k, n) array
+    p += b[..., None]
+    np.exp(np.negative(p, out=p), out=p)
+    p += 1.0
+    pred = np.divide(1.0, p, out=p) >= 0.5
+    pos = (y == 1)[:, None, :]
+    tp = (pred & pos).sum(axis=-1)
+    precision = _ratio(tp, pred.sum(axis=-1))
+    recall = _ratio(tp, pos.sum(axis=-1))
+    f_measure = _ratio(2 * precision * recall, precision + recall)
+    return precision, recall, f_measure, (pred == pos).sum(axis=-1) / y.shape[1]
 
 
 def _stratified_split(y, train_fraction, rng):
@@ -217,23 +211,23 @@ def _draw_splits(y, repeats, train_fraction, seed, balance):
     return splits
 
 
+def _stack(X, y, block, part):
+    """The normalized rows and the labels of split part (0 train, 1 test) of each
+    repeat of the block, as (r, n, d) and (r, n) stacks."""
+    X_part = np.empty((len(block), len(block[0][part]), X.shape[1]))
+    for Xs, split in zip(X_part, block):
+        Xs[...] = normalize_apply(split[2], X[split[part]])  # one repeat's temporaries at a time
+    return X_part, np.stack([y[split[part]] for split in block])
+
+
 def _cv_block(X, y, block, masks, hyper):
-    """Per repeat of the block, per mask: test P, R, F and train accuracy."""
-    X_train = np.empty((len(block), len(block[0][0]), X.shape[1]))
-    for Xs, (train_idx, _, stats) in zip(X_train, block):
-        Xs[...] = normalize_apply(stats, X[train_idx])  # one repeat's temporaries at a time
-    y_train = np.stack([y[train_idx] for train_idx, _, _ in block])
-    rows = []
-    for (_, test_idx, stats), Xs, ys, models in zip(
-            block, X_train, y_train, train(X_train, y_train, masks, hyper)):
-        X_test = normalize_apply(stats, X[test_idx])
-        row = []
-        for model in models:
-            test = evaluate(model, X_test, y[test_idx])
-            row.append((test["precision"], test["recall"], test["f_measure"],
-                        evaluate(model, Xs, ys)["accuracy"]))
-        rows.append(row)
-    return rows
+    """Test precision, recall and F and train accuracy, each of shape (repeats of
+    the block, masks)."""
+    X_train, y_train = _stack(X, y, block, 0)
+    W, b = train(X_train, y_train, masks, hyper)
+    accuracy = _score(W, b, X_train, y_train)[3]
+    del X_train  # freed before the test rows are stacked, so peak memory stays that of train
+    return (*_score(W, b, *_stack(X, y, block, 1))[:3], accuracy)
 
 
 def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
@@ -243,26 +237,28 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     repeats >= 1 and 0 < train_fraction < 1, as load_config checks. Each repeat derives its own
     generator from (seed, repeat index), so the reports are identical under any evaluation
     order, and all presets share each repeat's split and normalization. Every split holds both
-    classes on its first draw. The repeats train in blocks of one gradient descent each.
+    classes on its first draw. The repeats train in blocks of one gradient descent each, and
+    each block is scored in one pass.
     """
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
     splits = [(train_idx, test_idx, normalize_fit(X[train_idx]))
               for train_idx, test_idx in _draw_splits(y, repeats, train_fraction, seed,
                                                       balance)]
-    # Every repeat trains on the same number of rows, so the repeats stack: the
-    # stratified sizes depend only on the class counts, and downsampling keeps
-    # 2 * min of them.
+    # Every repeat trains and tests on the same numbers of rows, so the repeats
+    # stack: the stratified sizes depend only on the class counts, and
+    # downsampling keeps 2 * min of the training rows.
     per_block = max(1, _BLOCK_ELEMENTS // (len(splits[0][0]) * X.shape[1]))
     masks = [p.feature_mask for p in presets]
-    runs = []  # per repeat, per preset: test P, R, F, train accuracy
-    for start in range(0, repeats, per_block):
-        runs += _cv_block(X, y, splits[start:start + per_block], masks, hyper)
+    blocks = [_cv_block(X, y, splits[start:start + per_block], masks, hyper)
+              for start in range(0, repeats, per_block)]
+    scores = [np.concatenate(metric) for metric in zip(*blocks)]  # each (repeats, presets)
     reports = []
-    for preset, rows in zip(presets, zip(*runs)):
+    for j, preset in enumerate(presets):
         fields = {}
-        for key, values in zip(_METRICS, zip(*rows)):
-            fields[key], fields[key + "_std"] = float(np.mean(values)), float(np.std(values))
+        for key, values in zip(_METRICS, scores):
+            column = values[:, j]  # one column at a time: a sum over axis 0 adds in another order
+            fields[key], fields[key + "_std"] = float(np.mean(column)), float(np.std(column))
         reports.append(EvalReport(model_name=preset.name, repeats=repeats, **fields))
     return reports
 
@@ -305,11 +301,17 @@ def report_json(report):
 
 
 def report_from_json(text):
-    """Inverse of report_json."""
+    """Inverse of report_json. A model_name that is not a string, or a metric
+    mean or std that is not a number, is a ParseError."""
     payload = json.loads(text)
     stats = dict(payload["metrics"], train_accuracy=payload["train_accuracy"])
     fields = {name + suffix: stat[key] for name, stat in stats.items()
               for suffix, key in (("", "mean"), ("_std", "std"))}
+    if not isinstance(payload["model_name"], str):
+        raise ParseError("model_name must be a string")
+    for name, value in fields.items():
+        if type(value) not in (int, float):
+            raise ParseError(f"metric {name!r} must be a number, got {value!r:.40}")
     return EvalReport(model_name=payload["model_name"], repeats=payload["repeats"], **fields)
 
 

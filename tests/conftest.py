@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from forumflux.community import Community, detect_communities
 from forumflux.featureset import FeatureContext
 from forumflux.graph import InteractionGraph, SnapshotWindow, build_windows, window_graphs
-from forumflux.ingest import PostRecord
+from forumflux.ingest import CSV_COLUMNS, PostRecord, format_timestamp, serialize_posts
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -13,6 +15,19 @@ T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 def make_post(post_id, thread_id, user_id, minutes=0, body="hello"):
     return PostRecord(post_id=post_id, thread_id=thread_id, user_id=user_id,
                       created_at=T0 + timedelta(minutes=minutes), body=body)
+
+
+def serialize(records, fmt):
+    """records as input bytes of fmt: 'jsonl' as the pipeline writes it, or
+    RFC-4180 CSV with a header row."""
+    if fmt == "jsonl":
+        return serialize_posts(records)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")  # also quotes bodies that hold \r
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([r.post_id, r.thread_id, r.user_id, format_timestamp(r.created_at), r.body]
+                     for r in records)
+    return buf.getvalue().encode("utf-8")
 
 
 def make_graph(edges, snapshot_index=0, extra_nodes=()):

@@ -20,6 +20,8 @@ import forumflux
 from forumflux import cli, graph as graph_mod, ingest
 from forumflux.cli import main
 
+from conftest import serialize
+
 SYNTH_CFG = """
 # small deterministic pipeline config
 window_days = 24
@@ -125,7 +127,7 @@ def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(ingest.serialize_posts(
         ingest.generate_synthetic_forum(7, ingest.SynthParams(n_users=60, n_threads=96,
-                                                              n_windows=5)), "jsonl"))
+                                                              n_windows=5))))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SYNTH_CFG + f"input = {corpus}\n" + line + "\n")
     for command in ("synth", "run"):
@@ -261,7 +263,7 @@ class TestFullRun:
 def test_csv_input_runs_like_jsonl_input(tmp_path):
     posts = small_corpus()
     for fmt in ("csv", "jsonl"):
-        (tmp_path / f"corpus.{fmt}").write_bytes(ingest.serialize_posts(posts, fmt))
+        (tmp_path / f"corpus.{fmt}").write_bytes(serialize(posts, fmt))
         cfg = tmp_path / f"{fmt}.cfg"
         cfg.write_text(SYNTH_CFG + f"input = {tmp_path / f'corpus.{fmt}'}\nformat = {fmt}\n")
         assert run_cli("--config", str(cfg), "--out", str(tmp_path / fmt), "--quiet", "run") == 0
@@ -275,7 +277,7 @@ def test_csv_input_runs_like_jsonl_input(tmp_path):
     b"[" * 100_000, b'{"post_id": "x", "thread_id": "t", "user_id": "' + b"u" * 140_000
     + b'", "created_at": "2020-01-01T00:00:00Z", "body": ""}'], ids=["deep", "long user id"])
 def test_input_error_names_the_file_and_line(tmp_path, capsys, bad_line):
-    lines = ingest.serialize_posts(small_corpus()[:4], "jsonl").splitlines(keepends=True)
+    lines = ingest.serialize_posts(small_corpus()[:4]).splitlines(keepends=True)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(b"".join(lines[:2]) + bad_line + b"\n" + b"".join(lines[2:]))
     cfg = tmp_path / "input.cfg"
@@ -307,7 +309,7 @@ def test_artifact_that_is_a_directory_exits_2(built_tree, tmp_path, capsys):
 
 def write_corpus(out, posts):
     out.mkdir(parents=True, exist_ok=True)
-    (out / "posts.jsonl").write_bytes(ingest.serialize_posts(posts, "jsonl"))
+    (out / "posts.jsonl").write_bytes(ingest.serialize_posts(posts))
 
 
 def small_corpus():
@@ -386,6 +388,28 @@ class TestArtifactInterface:
         assert run_cli("--config", config_path, "--out", str(out), "--quiet", "features") == 2
         assert "outside the" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["snapshots", "features"])
+    def test_empty_posts_after_ingest_exits_2_naming_it(self, built_tree, tmp_path, capsys,
+                                                        stage):
+        out = copy_tree(built_tree, tmp_path)
+        (out / "posts.jsonl").write_bytes(b"")
+        # in process, an exception that escapes main fails the test with its traceback
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet", stage) == 2
+        assert capsys.readouterr().err == "error: posts.jsonl holds no posts; rerun 'ingest'\n"
+
+    @pytest.mark.parametrize("snapshot", [99, 0])  # Staying at 0 asks for snapshot -1
+    def test_role_row_outside_the_calendar_exits_2(self, built_tree, tmp_path, capsys,
+                                                   snapshot):
+        out = copy_tree(built_tree, tmp_path)
+        path = out / "roles.csv"
+        user = path.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{snapshot},{user},Staying,0\n")
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                       "features") == 2
+        assert capsys.readouterr().err == (f"error: user {user!r} has no activity at "
+                                           f"snapshot {snapshot - 1}\n")
+
     def test_downstream_stages_do_not_rebuild_graphs(self, tmp_path, config_path,
                                                      monkeypatch):
         out = tmp_path / "out"
@@ -407,7 +431,7 @@ class TestArtifactInterface:
         late = ingest.PostRecord("late-post", "late-thread", "late-user",
                                  datetime(2031, 1, 1, tzinfo=timezone.utc), "hello")
         with open(out / "posts.jsonl", "ab") as fh:
-            fh.write(ingest.serialize_posts([late], "jsonl"))
+            fh.write(ingest.serialize_posts([late]))
         assert run_cli("--config", config_path, "--out", str(out), "--quiet", "snapshots") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: post 'late-post' at 2031-01-01") and "rerun 'ingest'" in err
@@ -478,6 +502,20 @@ def test_malformed_artifact_exits_2_naming_it(built_tree, tmp_path, capsys, name
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed {path}: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda report: report["metrics"]["f_measure"].update(mean="0.5"),
+    lambda report: report.update(model_name=1)], ids=["mean a string", "name a number"])
+def test_report_of_the_wrong_types_exits_2_naming_it(built_tree, tmp_path, capsys, edit):
+    out = copy_tree(built_tree, tmp_path)
+    path = out / "reports" / "m1.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    edit(report)
+    path.write_text(json.dumps(report), encoding="utf-8")
+    # in process, an exception that escapes main fails the test with its traceback
+    assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet", "report") == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed {path}: ")
 
 
 # ids mixing CSV metacharacters, newlines and non-ASCII text

@@ -328,6 +328,8 @@ def test_window_graphs_matches_per_window_build():
     for outside in (posts[0], posts[-1]):
         with pytest.raises(ParseError, match=rf"post '{outside.post_id}' .*rerun 'ingest'"):
             window_graphs(inside + [outside], windows)
+    with pytest.raises(ParseError, match="^posts.jsonl holds no posts; rerun 'ingest'$"):
+        window_graphs([], windows)
 
 
 class TestNodeIndex:

@@ -13,7 +13,7 @@ from forumflux import graph, ingest
 from forumflux.errors import ConfigError, EmptyCorpusError, ParseError
 from forumflux.ingest import PostRecord, SynthParams
 
-from conftest import T0, feature_context, make_post
+from conftest import T0, feature_context, make_post, serialize
 
 
 def parse_bytes(data, fmt):
@@ -66,7 +66,7 @@ class TestParsePosts:
         edges = graph.edges_csv([graph.InteractionGraph(0, frozenset([longest.user_id]), {})])
         assert graph.graphs_from_csv(io.StringIO(edges, newline=""),
                                      [day_window])[0].nodes == {longest.user_id}
-        data = ingest.serialize_posts([longest, make_post("p2", "t1", "u" * 140_000)], "jsonl")
+        data = ingest.serialize_posts([longest, make_post("p2", "t1", "u" * 140_000)])
         with pytest.raises(ParseError, match=f"^user_id at line 2 is longer than {limit} "
                                              "characters$"):
             parse_bytes(data, "jsonl")
@@ -74,7 +74,7 @@ class TestParsePosts:
     @pytest.mark.parametrize("field", ["user_id", "body"])
     def test_csv_field_longer_than_the_limit_names_the_line(self, field):
         long_post = replace(make_post("p2", "t1", "u2"), **{field: "y" * 140_000})
-        data = ingest.serialize_posts([make_post("p1", "t1", "u1"), long_post], "csv")
+        data = serialize([make_post("p1", "t1", "u1"), long_post], "csv")
         with pytest.raises(ParseError, match="^malformed CSV at line 3: field larger than "
                                              "field limit"):
             parse_bytes(data, "csv")
@@ -122,13 +122,13 @@ class TestParsePosts:
             parse_bytes(row.encode(), "jsonl")
 
     def test_nesting_too_deep_to_decode_names_the_line(self):
-        data = ingest.serialize_posts([make_post("p1", "t1", "u1")], "jsonl") + b"[" * 100_000
+        data = ingest.serialize_posts([make_post("p1", "t1", "u1")]) + b"[" * 100_000
         with pytest.raises(ParseError, match="malformed JSON at line 2: maximum recursion"):
             parse_bytes(data, "jsonl")
 
     def test_csv_round_trips_newlines_in_body(self):
         rec = make_post("p1", "t1", "u1", body="line one\nline two")
-        data = ingest.serialize_posts([rec], "csv")
+        data = serialize([rec], "csv")
         assert parse_bytes(data, "csv") == [rec]
 
     def test_csv_bad_header(self):
@@ -139,8 +139,8 @@ class TestParsePosts:
     @pytest.mark.parametrize("field", ["user_id", "body"])
     def test_invalid_utf8_rejected_naming_line_and_field(self, fmt, field):
         good = make_post("p1", "t1", "u1", body="café")
-        bad = ingest.serialize_posts([replace(good, post_id="p2", **{field: "a\u00ffb"})], fmt)
-        data = ingest.serialize_posts([good], fmt) + bad.split(b"\r\n", 1)[-1].replace(
+        bad = serialize([replace(good, post_id="p2", **{field: "a\u00ffb"})], fmt)
+        data = serialize([good], fmt) + bad.split(b"\r\n", 1)[-1].replace(
             "\u00ff".encode(), b"\xff")  # a byte that starts no UTF-8 sequence
         line = 2 if fmt == "jsonl" else 3
         with pytest.raises(ParseError, match=f"^field '{field}' at line {line} is not Unicode text"):
@@ -164,7 +164,7 @@ class TestParsePosts:
                b'"created_at":"2000-04-21T00:00:00Z","body":"\\ud83d\\ude00 \\\\ud800"}\n')
         rec, = parse_bytes(row, "jsonl")
         assert (rec.user_id, rec.body) == ("café", "\U0001F600 \\ud800")
-        assert parse_bytes(ingest.serialize_posts([rec], "jsonl"), "jsonl") == [rec]
+        assert parse_bytes(ingest.serialize_posts([rec]), "jsonl") == [rec]
 
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
     def test_timestamp_outside_the_datetime_range_in_utc_rejected(self, stamp):
@@ -215,7 +215,7 @@ _record_strategy = st.builds(
 @given(st.lists(_record_strategy, max_size=8, unique_by=lambda r: r.post_id),
        st.sampled_from(["jsonl", "csv"]))
 def test_serialize_parse_round_trip(records, fmt):
-    data = ingest.serialize_posts(records, fmt)
+    data = serialize(records, fmt)
     assert parse_bytes(data, fmt) == records
 
 
@@ -256,7 +256,7 @@ class TestSyntheticForum:
         a = ingest.generate_synthetic_forum(3, SMALL)
         b = ingest.generate_synthetic_forum(3, SMALL)
         assert a == b
-        assert ingest.serialize_posts(a, "jsonl") == ingest.serialize_posts(b, "jsonl")
+        assert ingest.serialize_posts(a) == ingest.serialize_posts(b)
 
     def test_different_seeds_differ(self):
         assert ingest.generate_synthetic_forum(3, SMALL) != ingest.generate_synthetic_forum(4, SMALL)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from forumflux import model
 from forumflux.errors import TrainingError
 from forumflux.featureset import FEATURE_NAMES, N_FEATURES
-from forumflux.model import (AblationPreset, Hyper, evaluate, loss_and_gradient,
+from forumflux.model import (AblationPreset, Hyper, loss_and_gradient,
                              monte_carlo_cv, normalize_apply, normalize_fit,
                              report_from_json, report_json, report_table, table2_presets,
                              train)
@@ -53,6 +53,27 @@ def allocating_train(X, y, masks, hyper):
         W -= lr * np.where(M, (E @ X) / m + (lam / m) * W, 0.0)
         b -= lr * E.mean(axis=1)
     return W, b
+
+
+def proba(w, bias, X):
+    """P(y = 1) of the rows of X under one fitted (weights, bias)."""
+    return 1.0 / (1.0 + np.exp(-(X @ w + bias)))
+
+
+def evaluate(w, bias, X, y):
+    """One fit's precision/recall/F/accuracy at threshold 0.5, zero-denominator
+    safe: the scorer before the fits of a CV block were scored together."""
+    pred = (proba(w, bias, X) >= 0.5).astype(np.int64)
+    tp = int(((pred == 1) & (y == 1)).sum())
+    fp = int(((pred == 1) & (y == 0)).sum())
+    fn = int(((pred == 0) & (y == 1)).sum())
+    tn = int(((pred == 0) & (y == 0)).sum())
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f_measure = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    accuracy = (tp + tn) / len(y)
+    return {"precision": precision, "recall": recall,
+            "f_measure": f_measure, "accuracy": accuracy}
 
 
 def random_masks(rng, k, d=N_FEATURES):
@@ -120,25 +141,19 @@ class TestGradient:
 
 
 class TestTrain:
-    def test_zero_weights_predict_half(self):
-        m = model.LogisticModel(weights=np.zeros(2), bias=0.0,
-                                feature_mask=np.ones(2, bool))
-        assert m.predict_proba(np.array([[5.0, -3.0]]))[0] == 0.5
-
     def test_one_dimensional_separable(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
-        m = train(X[None], y[None], [full_mask(1)])[0][0]
-        assert m.predict(X).tolist() == [0, 1]
+        W, b = train(X[None], y[None], [full_mask(1)])
+        assert (proba(W[0, 0], b[0, 0], X) >= 0.5).tolist() == [False, True]
 
     def test_large_l2_shrinks_weights(self):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, n=100)
-        m = train(X[None], y[None], [full_mask()],
-                  hyper=Hyper(learning_rate=0.001, l2_lambda=1e5))[0][0]
-        assert np.all(np.abs(m.weights) < 1e-2)
-        proba = m.predict_proba(X)
-        assert np.all(np.abs(proba - 0.5) < 0.1)
+        W, b = train(X[None], y[None], [full_mask()],
+                     hyper=Hyper(learning_rate=0.001, l2_lambda=1e5))
+        assert np.all(np.abs(W) < 1e-2)
+        assert np.all(np.abs(proba(W[0, 0], b[0, 0], X) - 0.5) < 0.1)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
@@ -155,24 +170,24 @@ class TestTrain:
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[::2] = False
-        m = train(X[None], y[None], [mask])[0][0]
-        assert np.all(m.weights[~mask] == 0.0)
+        W, _ = train(X[None], y[None], [mask])
+        assert np.all(W[0, 0, ~mask] == 0.0)
 
     def test_mask_equals_physical_reduction(self):
         rng = np.random.default_rng(4)
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[[0, 5, 17]] = False
-        masked = train(X[None], y[None], [mask])[0][0]
-        reduced = train(X[None, :, mask], y[None], [full_mask(int(mask.sum()))])[0][0]
-        p1 = masked.predict_proba(X)
-        p2 = reduced.predict_proba(X[:, mask])
+        W, b = train(X[None], y[None], [mask])
+        W_reduced, b_reduced = train(X[None, :, mask], y[None], [full_mask(int(mask.sum()))])
+        p1 = proba(W[0, 0], b[0, 0], X)
+        p2 = proba(W_reduced[0, 0], b_reduced[0, 0], X[:, mask])
         assert np.max(np.abs(p1 - p2)) < 1e-12
 
 
 class TestStackedTrain:
     """The sets of one call train as a stack of weight matrices, and the masks
-    of a set as the rows of its matrix; each row must be the model that
+    of a set as the rows of its matrix; each row must be the fit that
     training its mask on its set alone gives."""
 
     def test_rows_match_reference_through_cv(self, monkeypatch):
@@ -180,9 +195,9 @@ class TestStackedTrain:
         real_train = model.train
 
         def recording_train(X, y, masks, hyper):
-            models = real_train(X, y, masks, hyper)
-            calls.append((X, y, masks, hyper, models))
-            return models
+            fitted = real_train(X, y, masks, hyper)
+            calls.append((X, y, masks, hyper, fitted))
+            return fitted
 
         monkeypatch.setattr(model, "train", recording_train)
         rng = np.random.default_rng(11)
@@ -196,17 +211,16 @@ class TestStackedTrain:
                           l2_lambda=float(rng.uniform(0, 0.1)))
             monte_carlo_cv(X, y, presets, repeats=3, hyper=hyper, seed=3, balance=balance)
         assert sum(len(X) for X, *_ in calls) == 6
-        for X_stack, y_stack, masks, hyper, set_models in calls:
-            assert len(set_models) == len(X_stack)
-            for X, y, models in zip(X_stack, y_stack, set_models):
+        for X_stack, y_stack, masks, hyper, (W_stack, b_stack) in calls:
+            assert W_stack.shape == (len(X_stack), len(masks), N_FEATURES)
+            assert b_stack.shape == (len(X_stack), len(masks))
+            for X, y, W, b in zip(X_stack, y_stack, W_stack, b_stack):
                 np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=1e-12)  # z-scored rows
                 np.testing.assert_allclose(X.std(axis=0), 1.0, rtol=1e-12)
-                assert len(models) == len(masks)
-                for mask, fitted in zip(masks, models):
-                    w, b = reference_train(X, y, mask, hyper)
-                    np.testing.assert_allclose(fitted.weights, w, rtol=1e-12, atol=1e-15)
-                    assert fitted.bias == pytest.approx(b, rel=1e-12, abs=1e-15)
-                    assert np.array_equal(fitted.feature_mask, mask)
+                for mask, w_fit, b_fit in zip(masks, W, b):
+                    w, bias = reference_train(X, y, mask, hyper)
+                    np.testing.assert_allclose(w_fit, w, rtol=1e-12, atol=1e-15)
+                    assert b_fit == pytest.approx(bias, rel=1e-12, abs=1e-15)
 
     def test_stack_equals_one_set_at_a_time_bitwise(self):
         rng = np.random.default_rng(16)
@@ -214,12 +228,12 @@ class TestStackedTrain:
         y = (X[..., 0] + rng.normal(scale=2.0, size=(4, 70)) > 0).astype(np.float64)
         masks = random_masks(rng, 5)
         hyper = Hyper(learning_rate=0.3, epochs=80)
-        stacked = train(X, y, masks, hyper)
-        assert len(stacked) == 4
-        for X_set, y_set, models in zip(X, y, stacked):
-            for fitted, alone in zip(models, train(X_set[None], y_set[None], masks, hyper)[0]):
-                assert np.array_equal(fitted.weights, alone.weights)
-                assert fitted.bias == alone.bias
+        W, b = train(X, y, masks, hyper)
+        assert len(W) == 4
+        for X_set, y_set, W_set, b_set in zip(X, y, W, b):
+            W_alone, b_alone = train(X_set[None], y_set[None], masks, hyper)
+            assert np.array_equal(W_set, W_alone[0])
+            assert np.array_equal(b_set, b_alone[0])
 
     def test_buffered_epochs_keep_the_bits_of_the_allocating_expressions(self):
         rng = np.random.default_rng(18)
@@ -227,10 +241,10 @@ class TestStackedTrain:
         y = (X[..., 1] + rng.normal(scale=3.0, size=(3, 90)) > 0).astype(np.float64)
         masks = random_masks(rng, 5)
         hyper = Hyper(learning_rate=0.2, epochs=120, l2_lambda=0.05)
-        for X_set, y_set, models in zip(X, y, train(X, y, masks, hyper)):
+        for X_set, y_set, W_set, b_set in zip(X, y, *train(X, y, masks, hyper)):
             W, b = allocating_train(X_set, y_set, masks, hyper)
-            assert np.array_equal([fitted.weights for fitted in models], W)
-            assert [fitted.bias for fitted in models] == b.tolist()
+            assert np.array_equal(W_set, W)
+            assert np.array_equal(b_set, b)
 
     @pytest.mark.parametrize("balance", [False, True])
     def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, balance):
@@ -260,17 +274,16 @@ class TestStackedTrain:
         # column 0's gradient overflows to -inf; a product with the mask would make it nan
         X = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, -1.0], [-1e308, -2.0]])
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        fitted = train(X[None], y[None], [np.array([False, True])], Hyper(epochs=5))[0][0]
-        assert fitted.weights[0] == 0.0
-        assert np.isfinite(fitted.weights[1])
+        W, _ = train(X[None], y[None], [np.array([False, True])], Hyper(epochs=5))
+        assert W[0, 0, 0] == 0.0
+        assert np.isfinite(W[0, 0, 1])
 
     def test_one_diverging_set_among_calm_sets_raises(self):
         calm = np.array([[1e-300], [-1e-300]])
         X = np.stack([calm, np.array([[1e300], [-1e300]]), calm])
         y = np.array([[1.0, 0.0]] * 3)
         hyper = Hyper(learning_rate=1e280, epochs=5, l2_lambda=0.0)
-        for models in train(X[[0, 2]], y[[0, 2]], [full_mask(1)], hyper):
-            assert np.isfinite(models[0].weights).all()
+        assert np.isfinite(train(X[[0, 2]], y[[0, 2]], [full_mask(1)], hyper)[0]).all()
         with pytest.raises(TrainingError) as alone:
             train(X[[1]], y[[1]], [full_mask(1)], hyper)
         with pytest.raises(TrainingError) as stacked:
@@ -295,16 +308,17 @@ class TestStackedTrain:
         for _ in range(5):
             X, y = separable_data(rng, n=80)
             masks = random_masks(rng, int(rng.integers(2, 8)))
-            for mask, fitted in zip(masks, train(X[None], y[None], masks, Hyper(epochs=50))[0]):
-                assert np.all(fitted.weights[~mask] == 0.0)
-                assert np.all(np.isfinite(fitted.weights))
+            W, _ = train(X[None], y[None], masks, Hyper(epochs=50))
+            for mask, w in zip(masks, W[0]):
+                assert np.all(w[~mask] == 0.0)
+                assert np.all(np.isfinite(w))
 
     def test_one_diverging_row_raises(self):
         X = np.array([[1e300, 1e-300], [-1e300, -1e-300]])
         y = np.array([1.0, 0.0])
         hyper = Hyper(learning_rate=1e280, epochs=5, l2_lambda=0.0)
         calm = np.array([False, True])
-        assert np.isfinite(train(X[None], y[None], [calm], hyper)[0][0].weights).all()
+        assert np.isfinite(train(X[None], y[None], [calm], hyper)[0]).all()
         with pytest.raises(TrainingError):
             train(X[None], y[None], [calm, ~calm], hyper)
 
@@ -350,33 +364,54 @@ def test_every_split_holds_both_classes_and_one_train_size(y, train_fraction, se
     assert len({len(train_idx) for train_idx, _ in splits}) == 1
 
 
-class TestEvaluate:
+def score_one(w, bias, X, y):
+    """model._score of a single fit: (precision, recall, F, accuracy)."""
+    return tuple(float(v[0, 0]) for v in model._score(w[None, None], np.array([[bias]]),
+                                                      X[None], y[None]))
+
+
+class TestScore:
     def test_perfect_predictions(self):
         X = np.array([[-2.0], [2.0]])
         y = np.array([0.0, 1.0])
-        m = train(X[None], y[None], [full_mask(1)])[0][0]
-        metrics = evaluate(m, X, y)
-        assert metrics["precision"] == metrics["recall"] == metrics["f_measure"] == 1.0
+        W, b = train(X[None], y[None], [full_mask(1)])
+        assert score_one(W[0, 0], b[0, 0], X, y) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_negative_predictions(self):
-        m = model.LogisticModel(weights=np.zeros(1), bias=-10.0,
-                                feature_mask=np.ones(1, bool))
-        metrics = evaluate(m, np.ones((4, 1)), np.array([1.0, 1.0, 0.0, 0.0]))
-        assert metrics["precision"] == 0.0
-        assert metrics["recall"] == 0.0
-        assert metrics["f_measure"] == 0.0
+        metrics = score_one(np.zeros(1), -10.0, np.ones((4, 1)), np.array([1.0, 1.0, 0.0, 0.0]))
+        assert metrics == (0.0, 0.0, 0.0, 0.5)
 
     def test_confusion_matrix_identities(self):
         # TP=2, FP=1, FN=2 fixture
-        m = model.LogisticModel(weights=np.array([10.0]), bias=0.0,
-                                feature_mask=np.ones(1, bool))
         X = np.array([[1.0], [1.0], [1.0], [-1.0], [-1.0], [-1.0]])
         y = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        metrics = evaluate(m, X, y)
-        assert metrics["precision"] == pytest.approx(2 / 3)
-        assert metrics["recall"] == pytest.approx(0.5)
-        assert metrics["f_measure"] == pytest.approx(4 / 7)
-        assert metrics["accuracy"] == pytest.approx(3 / 6)
+        precision, recall, f_measure, accuracy = score_one(np.array([10.0]), 0.0, X, y)
+        assert precision == pytest.approx(2 / 3)
+        assert recall == pytest.approx(0.5)
+        assert f_measure == pytest.approx(4 / 7)
+        assert accuracy == pytest.approx(3 / 6)
+
+    def test_stack_equals_per_fit_reference_exactly(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            r, k, n, d = (int(v) for v in rng.integers([1, 2, 2, 1], [5, 7, 40, 6]))
+            W = rng.normal(size=(r, k, d)) * (rng.random((r, k, 1)) < 0.7)  # some rows all 0
+            b = rng.normal(size=(r, k))
+            W[:, :2] = 0.0
+            b[:, 0] = -50.0  # row 0 predicts no positive: precision 0 by the zero rule
+            b[:, 1] = 0.0    # row 1 has P exactly 0.5 on every row: all positive
+            X = rng.normal(size=(r, n, d))
+            y = (rng.random((r, n)) < rng.uniform(0.1, 0.9)).astype(np.float64)
+            scored = model._score(W, b, X, y)
+            assert all(v.shape == (r, k) for v in scored)
+            for i in range(r):
+                for j in range(k):
+                    ref = evaluate(W[i, j], b[i, j], X[i], y[i])
+                    assert [v[i, j] for v in scored] == [
+                        ref["precision"], ref["recall"], ref["f_measure"], ref["accuracy"]]
+            assert np.all(scored[0][:, 0] == 0.0)
+            assert np.all(scored[1][:, 1][y.sum(axis=1) > 0] == 1.0)
+            assert np.array_equal(scored[3][:, 1], y.mean(axis=1))
 
 
 class TestMonteCarloCV:
