@@ -28,7 +28,8 @@ from pathlib import Path
 
 from . import community as community_mod
 from . import evolution, featureset, graph as graph_mod, ingest, lexifeat, model
-from .errors import ConfigError, ForumFluxError, MissingArtifactError, ParseError, TrainingError
+from .errors import (ConfigError, EmptyCorpusError, ForumFluxError, MissingArtifactError,
+                     ParseError, TrainingError)
 
 _FORMATS = ("jsonl", "csv")
 _WORD_LISTS = {"lexicon": lexifeat.load_lexicon, "intents": lexifeat.load_intent_patterns}
@@ -183,7 +184,10 @@ def _read(path, producer, parse, *args, error=ParseError):
 
 
 def _write(path, data):
+    """Write data, bytes or text, to path; a dict becomes JSON with sorted keys."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(data, dict):
+        data = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if isinstance(data, bytes):
         path.write_bytes(data)
     else:
@@ -200,13 +204,17 @@ def stage_synth(cfg, out_dir):
 
 
 def stage_ingest(cfg, out_dir):
-    posts = (_read(cfg.input, None, ingest.parse_posts, cfg.format) if cfg.input
-             else _read(out_dir / "posts.jsonl", "synth", ingest.parse_posts, "jsonl"))
-    stats = ingest.corpus_stats(posts)
+    path = cfg.input or out_dir / "posts.jsonl"
+    posts = _read(path, None if cfg.input else "synth", ingest.parse_posts,
+                  cfg.format if cfg.input else "jsonl")
+    try:
+        stats = ingest.corpus_stats(posts)
+    except EmptyCorpusError:
+        raise EmptyCorpusError(f"{path} holds no posts") from None
     _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts))
-    payload = {**asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
-               "last_post": ingest.format_timestamp(stats.last_post)}
-    _write(out_dir / "corpus_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "corpus_stats.json", {
+        **asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
+        "last_post": ingest.format_timestamp(stats.last_post)})
 
 
 def _post_span(fh):
@@ -253,13 +261,18 @@ def stage_roles(cfg, out_dir):
 
 
 def stage_features(cfg, out_dir):
-    labels = _read(out_dir / "roles.csv", "roles", evolution.roles_from_csv)
+    roles = out_dir / "roles.csv"
+    labels = _read(roles, "roles", evolution.roles_from_csv)
     ctx = featureset.FeatureContext(
         _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
         *_read_graphs(cfg, out_dir),
-        _read(out_dir / "communities.csv", "communities", community_mod.communities_from_csv),
+        _read(out_dir / "communities.csv", "communities", community_mod.communities_from_csv,
+              True),  # disjoint: modularity needs a partition
         cfg.lexicon, cfg.intents)
-    examples = featureset.build_dataset(labels, cfg.task, ctx)
+    try:
+        examples = featureset.build_dataset(labels, cfg.task, ctx)
+    except ParseError as exc:  # a role row for a user who did not post in its window
+        raise ParseError(f"malformed {roles}: {exc}") from None
     _write(out_dir / "dataset.csv", featureset.dataset_csv(examples))
 
 
@@ -270,12 +283,11 @@ def stage_train(cfg, out_dir):
                                    train_fraction=cfg.train_fraction, hyper=cfg.hyper,
                                    seed=cfg.seed, balance=cfg.balance)
     for preset, report in zip(presets, reports):
-        _write(out_dir / "reports" / f"{preset.key}.json", model.report_json(report))
+        _write(out_dir / "reports" / f"{preset.key}.json", report)
 
 
 def stage_report(cfg, out_dir):
-    reports = [_read(out_dir / "reports" / f"{preset.key}.json", "train",
-                     lambda fh: model.report_from_json(fh.read()))
+    reports = [_read(out_dir / "reports" / f"{preset.key}.json", "train", model.report_from_json)
                for preset in model.table2_presets()]
     _write(out_dir / "report_table.txt", model.report_table(reports))
 

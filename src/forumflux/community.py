@@ -144,18 +144,22 @@ def communities_csv(communities):
     return buf.getvalue()
 
 
-def communities_from_csv(fh):
-    """Inverse of communities_csv: {snapshot_index: communities by community_id}."""
+def communities_from_csv(fh, disjoint=False):
+    """Inverse of communities_csv: {snapshot_index: communities by community_id}. With
+    disjoint, as modularity needs, a user in two communities of one snapshot is a ParseError."""
     reader = csv.reader(fh)
     if next(reader, None) != COMMUNITY_COLUMNS:
         raise ParseError(f"community list header must be {','.join(COMMUNITY_COLUMNS)}")
-    members = {}
+    members, owner = {}, {}  # (snapshot, community) -> users, (snapshot, user) -> community
     for row in reader:
         try:
             snap, cid, user = row
             key = (int(snap), int(cid))
         except ValueError:
             raise ParseError(f"malformed community row at line {reader.line_num}") from None
+        if disjoint and owner.setdefault((key[0], user), key[1]) != key[1]:
+            raise ParseError(f"user {user!r} is in two communities of snapshot {key[0]} "
+                             f"at line {reader.line_num}")
         members.setdefault(key, set()).add(user)
     by_snapshot = {}
     for (snap, cid), users in sorted(members.items()):

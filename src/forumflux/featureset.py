@@ -19,7 +19,7 @@ import numpy as np
 
 from . import community as community_mod
 from . import graph as graph_mod
-from .errors import DegenerateDatasetError, ForumFluxError, ParseError
+from .errors import DegenerateDatasetError, ParseError
 from .evolution import ROLES_BY_TASK, Task
 from .lexifeat import text_measures
 
@@ -111,9 +111,9 @@ def assemble_features(ctx, user, snapshot_index):
     """
     by_window = ctx.activity.get(user)
     if by_window is None:
-        raise ForumFluxError(f"unknown user {user!r}")
+        raise ParseError(f"unknown user {user!r}")
     if snapshot_index not in by_window:
-        raise ForumFluxError(f"user {user!r} has no activity at snapshot {snapshot_index}")
+        raise ParseError(f"user {user!r} has no activity at snapshot {snapshot_index}")
     window = ctx.windows[snapshot_index]  # a calendar index: the user posted in it
     sentiment, cognition, intent = _text_sums(by_window[snapshot_index])
 

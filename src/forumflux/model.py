@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,20 +57,6 @@ class AblationPreset:
     key: str                 # its report is reports/<key>.json
     name: str
     feature_mask: np.ndarray
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    model_name: str
-    repeats: int
-    precision: float
-    recall: float
-    f_measure: float
-    train_accuracy: float
-    precision_std: float
-    recall_std: float
-    f_measure_std: float
-    train_accuracy_std: float
 
 
 def normalize_fit(X):
@@ -186,12 +173,10 @@ def _stratified_split(y, train_fraction, rng):
 
 
 def _downsample_majority(idx, y, rng):
-    pos = [i for i in idx if y[i] == 1]
-    neg = [i for i in idx if y[i] == 0]
+    pos, neg = idx[y[idx] == 1], idx[y[idx] == 0]
     small, large = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
     keep = rng.choice(len(large), size=len(small), replace=False)
-    balanced = np.array(small + [large[i] for i in sorted(keep)])
-    return np.sort(balanced)
+    return np.sort(np.concatenate([small, large[keep]]))
 
 
 def _draw_splits(y, repeats, train_fraction, seed, balance):
@@ -206,7 +191,7 @@ def _draw_splits(y, repeats, train_fraction, seed, balance):
         rng = np.random.default_rng([seed, rep])
         train_idx, test_idx = _stratified_split(y, train_fraction, rng)
         if balance:
-            train_idx = _downsample_majority(list(train_idx), y, rng)
+            train_idx = _downsample_majority(train_idx, y, rng)
         splits.append((train_idx, test_idx))
     return splits
 
@@ -232,7 +217,9 @@ def _cv_block(X, y, block, masks, hyper):
 
 def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
                    seed=0, balance=False):
-    """Repeated stratified random splits; per preset, metric means and std-devs.
+    """Repeated stratified random splits; per preset, the report that stage_train writes
+    as reports/<key>.json: {"model_name", "repeats", "train_accuracy": {"mean", "std"},
+    "metrics": {"precision", "recall", "f_measure": {"mean", "std"}}}.
 
     repeats >= 1 and 0 < train_fraction < 1, as load_config checks. Each repeat derives its own
     generator from (seed, repeat index), so the reports are identical under any evaluation
@@ -255,11 +242,11 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     scores = [np.concatenate(metric) for metric in zip(*blocks)]  # each (repeats, presets)
     reports = []
     for j, preset in enumerate(presets):
-        fields = {}
-        for key, values in zip(_METRICS, scores):
-            column = values[:, j]  # one column at a time: a sum over axis 0 adds in another order
-            fields[key], fields[key + "_std"] = float(np.mean(column)), float(np.std(column))
-        reports.append(EvalReport(model_name=preset.name, repeats=repeats, **fields))
+        # one column at a time: a sum over axis 0 adds in another order
+        metrics = {key: {"mean": float(np.mean(values[:, j])), "std": float(np.std(values[:, j]))}
+                   for key, values in zip(_METRICS, scores)}
+        reports.append({"model_name": preset.name, "repeats": repeats,
+                        "train_accuracy": metrics.pop("train_accuracy"), "metrics": metrics})
     return reports
 
 
@@ -291,36 +278,32 @@ def table2_presets():
     ]
 
 
-def report_json(report):
-    """Stable JSON for one preset's CV report."""
-    metrics = {key: {"mean": getattr(report, key), "std": getattr(report, key + "_std")}
-               for key in _METRICS}
-    payload = {"model_name": report.model_name, "repeats": report.repeats,
-               "train_accuracy": metrics.pop("train_accuracy"), "metrics": metrics}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def report_from_json(text):
-    """Inverse of report_json. A model_name that is not a string, or a metric
-    mean or std that is not a number, is a ParseError."""
-    payload = json.loads(text)
-    stats = dict(payload["metrics"], train_accuracy=payload["train_accuracy"])
-    fields = {name + suffix: stat[key] for name, stat in stats.items()
-              for suffix, key in (("", "mean"), ("_std", "std"))}
-    if not isinstance(payload["model_name"], str):
+def report_from_json(fh):
+    """The report of monte_carlo_cv, from the JSON file that stage_train wrote. A
+    model_name that is not a string, a repeats that is not an integer >= 1, or a
+    metric mean or std that is not a finite number is a ParseError."""
+    report = json.load(fh)
+    stats = dict(report["metrics"], train_accuracy=report["train_accuracy"])
+    if not isinstance(report["model_name"], str):
         raise ParseError("model_name must be a string")
-    for name, value in fields.items():
-        if type(value) not in (int, float):
-            raise ParseError(f"metric {name!r} must be a number, got {value!r:.40}")
-    return EvalReport(model_name=payload["model_name"], repeats=payload["repeats"], **fields)
+    if type(report["repeats"]) is not int or report["repeats"] < 1:
+        raise ParseError(f"repeats must be an integer >= 1, got {report['repeats']!r:.40}")
+    for name in _METRICS:
+        for key in ("mean", "std"):
+            value = stats[name][key]
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ParseError(f"metric {name!r} {key} must be a finite number, "
+                                 f"got {value!r:.40}")
+    return report
 
 
 def report_table(reports):
     """Plain-text table with Model / Precision / Recall / F-measure columns."""
     buf = io.StringIO()
-    name_width = max(len("Model"), max((len(r.model_name) for r in reports), default=0))
+    name_width = max(len("Model"), max((len(r["model_name"]) for r in reports), default=0))
     buf.write(f"{'Model':<{name_width}}  {'Precision':>9}  {'Recall':>9}  {'F-measure':>9}\n")
     for r in reports:
-        buf.write(f"{r.model_name:<{name_width}}  {r.precision:>9.4f}  "
-                  f"{r.recall:>9.4f}  {r.f_measure:>9.4f}\n")
+        m = r["metrics"]
+        buf.write(f"{r['model_name']:<{name_width}}  {m['precision']['mean']:>9.4f}  "
+                  f"{m['recall']['mean']:>9.4f}  {m['f_measure']['mean']:>9.4f}\n")
     return buf.getvalue()

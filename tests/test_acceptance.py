@@ -174,7 +174,7 @@ def _pipeline_f_measure(strength, seed=7, repeats=20):
                                                    newline=""))
     rep = model.monte_carlo_cv(X, y, [model.table2_presets()[0]],
                                repeats=repeats, seed=0)[0]
-    return len(posts), rep.f_measure
+    return len(posts), rep["metrics"]["f_measure"]["mean"]
 
 
 def test_criterion_8_planted_signal_recovery():

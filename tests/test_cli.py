@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forumflux
-from forumflux import cli, graph as graph_mod, ingest
+from forumflux import cli, featureset, graph as graph_mod, ingest, model
 from forumflux.cli import main
 
 from conftest import serialize
@@ -407,8 +407,63 @@ class TestArtifactInterface:
             fh.write(f"{snapshot},{user},Staying,0\n")
         assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
                        "features") == 2
-        assert capsys.readouterr().err == (f"error: user {user!r} has no activity at "
-                                           f"snapshot {snapshot - 1}\n")
+        assert capsys.readouterr().err == (f"error: malformed {path}: user {user!r} has no "
+                                           f"activity at snapshot {snapshot - 1}\n")
+
+    def test_role_row_for_an_unknown_user_exits_2(self, built_tree, tmp_path, capsys):
+        out = copy_tree(built_tree, tmp_path)
+        path = out / "roles.csv"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("2,u9999,Staying,0\n")
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                       "features") == 2
+        assert capsys.readouterr().err == f"error: malformed {path}: unknown user 'u9999'\n"
+
+    def test_user_in_two_communities_fails_features_not_roles(self, built_tree, tmp_path,
+                                                               capsys):
+        out = copy_tree(built_tree, tmp_path)
+        path = out / "communities.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        snap, cid, user = lines[1].split(",")
+        other = next(line.split(",")[1] for line in lines[1:]
+                     if line.startswith(f"{snap},") and line.split(",")[1] != cid)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{snap},{other},{user}\n")
+        # roles allows overlapping communities; modularity in features does not
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                       "roles") == 0
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                       "features") == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed {path}: user {user!r} is in two communities of snapshot "
+            f"{snap} at line {len(lines) + 1}\n")
+
+    def test_empty_input_exits_2_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(b"")
+        cfg = tmp_path / "input.cfg"
+        cfg.write_text(SYNTH_CFG + f"input = {corpus}\nformat = csv\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                       "ingest") == 2
+        assert capsys.readouterr().err == f"error: {corpus} holds no posts\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_posts_emptied_after_synth_fail_ingest_naming_them(self, tmp_path, config_path,
+                                                               capsys):
+        out = tmp_path / "out"
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "synth") == 0
+        (out / "posts.jsonl").write_bytes(b"")
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "ingest") == 2
+        assert capsys.readouterr().err == f"error: {out / 'posts.jsonl'} holds no posts\n"
+        assert not (out / "corpus_stats.json").exists()
+
+    def test_corpus_stats_round_trip(self, tmp_path):
+        posts = small_corpus()
+        stats = ingest.corpus_stats(posts)
+        write_corpus(tmp_path, posts)
+        cli.stage_ingest(cli.Config(), tmp_path)
+        assert cli._read(tmp_path / "corpus_stats.json", "ingest", cli._post_span) == (
+            stats.first_post, stats.last_post)
 
     def test_downstream_stages_do_not_rebuild_graphs(self, tmp_path, config_path,
                                                      monkeypatch):
@@ -504,9 +559,22 @@ def test_malformed_artifact_exits_2_naming_it(built_tree, tmp_path, capsys, name
     assert "Traceback" not in err
 
 
+def test_report_round_trip(built_tree, tmp_path):
+    X, y = cli._read(built_tree[1] / "dataset.csv", "features", featureset.dataset_from_csv)
+    presets = model.table2_presets()
+    reports = model.monte_carlo_cv(X, y, presets, repeats=2, hyper=model.Hyper(epochs=50))
+    for preset, report in zip(presets, reports):
+        path = tmp_path / "reports" / f"{preset.key}.json"
+        cli._write(path, report)
+        assert cli._read(path, "train", model.report_from_json) == report
+
+
 @pytest.mark.parametrize("edit", [
     lambda report: report["metrics"]["f_measure"].update(mean="0.5"),
-    lambda report: report.update(model_name=1)], ids=["mean a string", "name a number"])
+    lambda report: report.update(model_name=1),
+    lambda report: report["metrics"]["f_measure"].update(mean=float("nan")),
+    lambda report: report.update(repeats="many")],
+    ids=["mean a string", "name a number", "mean NaN", "repeats a string"])
 def test_report_of_the_wrong_types_exits_2_naming_it(built_tree, tmp_path, capsys, edit):
     out = copy_tree(built_tree, tmp_path)
     path = out / "reports" / "m1.json"

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumflux import model
-from forumflux.errors import TrainingError
+from forumflux.errors import ParseError, TrainingError
 from forumflux.featureset import FEATURE_NAMES, N_FEATURES
 from forumflux.model import (AblationPreset, Hyper, loss_and_gradient,
                              monte_carlo_cv, normalize_apply, normalize_fit,
-                             report_from_json, report_json, report_table, table2_presets,
+                             report_from_json, report_table, table2_presets,
                              train)
 
 
@@ -298,7 +299,7 @@ class TestStackedTrain:
         presets = table2_presets()
         for balance in (False, True):
             together = monte_carlo_cv(X, y, presets, repeats=4, seed=5, balance=balance)
-            assert [r.model_name for r in together] == [p.name for p in presets]
+            assert [r["model_name"] for r in together] == [p.name for p in presets]
             for preset, report in zip(presets, together):
                 assert report == monte_carlo_cv(X, y, [preset], repeats=4, seed=5,
                                                 balance=balance)[0]
@@ -421,7 +422,8 @@ class TestMonteCarloCV:
                        rng.normal(5, 0.1, size=(30, N_FEATURES))])
         y = np.array([0.0] * 30 + [1.0] * 30)
         report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=1, seed=0)[0]
-        assert report.precision == report.recall == report.f_measure == 1.0
+        assert [report["metrics"][key]["mean"] for key in ("precision", "recall", "f_measure")] \
+            == [1.0, 1.0, 1.0]
 
     def test_same_seed_identical_reports(self):
         rng = np.random.default_rng(6)
@@ -442,7 +444,7 @@ class TestMonteCarloCV:
         rng = np.random.default_rng(8)
         X, y = separable_data(rng, n=150)
         report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=3, seed=0, balance=True)[0]
-        assert 0.0 <= report.f_measure <= 1.0
+        assert 0.0 <= report["metrics"]["f_measure"]["mean"] <= 1.0
 
     def test_scaling_a_feature_before_zscore_changes_nothing(self):
         rng = np.random.default_rng(9)
@@ -451,7 +453,8 @@ class TestMonteCarloCV:
         scaled[:, 3] *= 1000.0
         a = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=3, seed=0)[0]
         b = monte_carlo_cv(scaled, y, [table2_presets()[0]], repeats=3, seed=0)[0]
-        assert a.f_measure == pytest.approx(b.f_measure, abs=1e-12)
+        assert a["metrics"]["f_measure"]["mean"] == pytest.approx(
+            b["metrics"]["f_measure"]["mean"], abs=1e-12)
 
 
 class TestPresets:
@@ -479,11 +482,33 @@ def test_report_serialization_round_trip():
     rng = np.random.default_rng(10)
     X, y = separable_data(rng, n=80)
     report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=2, seed=0)[0]
-    payload = json.loads(report_json(report))
-    assert payload["model_name"] == "M1: all features"
-    assert report_from_json(report_json(report)) == report
-    assert payload["metrics"]["f_measure"]["mean"] == report.f_measure
+    assert report_from_json(io.StringIO(json.dumps(report))) == report
+    assert report.keys() == {"model_name", "repeats", "train_accuracy", "metrics"}
+    assert report["model_name"] == "M1: all features" and report["repeats"] == 2
+    assert report["metrics"].keys() == {"precision", "recall", "f_measure"}
+    assert all(stat.keys() == {"mean", "std"}
+               for stat in [report["train_accuracy"], *report["metrics"].values()])
     table = report_table([report])
     lines = table.splitlines()
     assert lines[0].split() == ["Model", "Precision", "Recall", "F-measure"]
     assert "M1: all features" in lines[1]
+    assert lines[1].split()[-1] == f'{report["metrics"]["f_measure"]["mean"]:.4f}'
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["metrics"]["f_measure"].update(mean=float("nan")),
+    lambda r: r["train_accuracy"].update(std=float("inf")),
+    lambda r: r["metrics"]["recall"].update(std="0.1"),
+    lambda r: r.update(repeats="many"),
+    lambda r: r.update(repeats=True),
+    lambda r: r.update(repeats=0),
+    lambda r: r.update(model_name=None),
+], ids=["nan mean", "inf std", "std a string", "repeats a string", "repeats a bool",
+        "repeats 0", "name None"])
+def test_report_from_json_rejects_bad_values(edit):
+    rng = np.random.default_rng(10)
+    X, y = separable_data(rng, n=80)
+    report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=2, seed=0)[0]
+    edit(report)
+    with pytest.raises(ParseError):
+        report_from_json(io.StringIO(json.dumps(report)))
