@@ -79,8 +79,7 @@ _KEYS = {
     "balance": "balance", "out": "out", "alpha": "propinquity.alpha", "beta": "propinquity.beta",
     "max_iterations": "propinquity.max_iterations",
     "min_community_size": "propinquity.min_community_size",
-    "learning_rate": "hyper.learning_rate", "epochs": "hyper.epochs",
-    "l2_lambda": "hyper.l2_lambda",
+    "epochs": "hyper.epochs", "l2_lambda": "hyper.l2_lambda",
     "window_days": "synth.window_days", "synth_n_users": "synth.n_users",
     "synth_n_threads": "synth.n_threads", "synth_n_windows": "synth.n_windows",
     "synth_signal": "synth.churn_signal_strength",
@@ -265,9 +264,9 @@ def stage_features(cfg, out_dir):
     labels = _read(roles, "roles", evolution.roles_from_csv)
     ctx = featureset.FeatureContext(
         _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
-        *_read_graphs(cfg, out_dir),
+        *(windows_graphs := _read_graphs(cfg, out_dir)),  # no local holds the posts
         _read(out_dir / "communities.csv", "communities", community_mod.communities_from_csv,
-              True),  # disjoint: modularity needs a partition
+              {g.snapshot_index: g.nodes for g in windows_graphs[1]}),  # as modularity needs
         cfg.lexicon, cfg.intents)
     try:
         examples = featureset.build_dataset(labels, cfg.task, ctx)

@@ -144,9 +144,11 @@ def communities_csv(communities):
     return buf.getvalue()
 
 
-def communities_from_csv(fh, disjoint=False):
+def communities_from_csv(fh, nodes=None):
     """Inverse of communities_csv: {snapshot_index: communities by community_id}. With
-    disjoint, as modularity needs, a user in two communities of one snapshot is a ParseError."""
+    nodes, {snapshot_index: the nodes of its graph}, the communities must partition
+    nodes of their snapshot's graph, as modularity needs: a user in two communities of
+    one snapshot, or not a node of its graph, is a ParseError."""
     reader = csv.reader(fh)
     if next(reader, None) != COMMUNITY_COLUMNS:
         raise ParseError(f"community list header must be {','.join(COMMUNITY_COLUMNS)}")
@@ -157,9 +159,13 @@ def communities_from_csv(fh, disjoint=False):
             key = (int(snap), int(cid))
         except ValueError:
             raise ParseError(f"malformed community row at line {reader.line_num}") from None
-        if disjoint and owner.setdefault((key[0], user), key[1]) != key[1]:
-            raise ParseError(f"user {user!r} is in two communities of snapshot {key[0]} "
-                             f"at line {reader.line_num}")
+        if nodes is not None:
+            if user not in nodes.get(key[0], ()):
+                raise ParseError(f"user {user!r} is not a node of the graph of snapshot "
+                                 f"{key[0]} at line {reader.line_num}")
+            if owner.setdefault((key[0], user), key[1]) != key[1]:
+                raise ParseError(f"user {user!r} is in two communities of snapshot {key[0]} "
+                                 f"at line {reader.line_num}")
         members.setdefault(key, set()).add(user)
     by_snapshot = {}
     for (snap, cid), users in sorted(members.items()):

@@ -26,4 +26,4 @@ class DegenerateDatasetError(ForumFluxError):
 
 
 class TrainingError(ForumFluxError):
-    """Single-class training input or a diverging optimization."""
+    """Single-class training input, or a fit that does not converge."""

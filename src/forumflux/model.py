@@ -1,24 +1,20 @@
 """Normalization, logistic regression, Monte Carlo CV, and ablation presets.
 
-Training minimizes the L2-regularized mean negative log-likelihood by
-full-batch gradient descent from zero initialization, so a trained model is a
-pure function of its inputs. The presets of a CV repeat share its split and
-normalization, and every repeat trains on the same number of rows, so the
-repeats train together: one gradient descent over a stack of training sets,
-a weight matrix per set with a row per preset. Each row's gradient is
-masked, so masked weights stay exactly 0. The epoch loop writes into buffers
-allocated once per call, and each epoch checks that the weights are finite;
-the loss is computed once per fit, at the end. Repeats are stacked in
-blocks of at most _BLOCK_ELEMENTS training values, so memory stays bounded
-however many repeats there are. A fit is its row of the weight stack, and a
-block's fits are scored together, with one stacked product per split.
+Each fit minimizes the L2-regularized mean negative log-likelihood by Newton's
+method from zero initialization until it has converged, so a trained model is
+the minimum, a pure function of its inputs; l2_lambda > 0 makes it unique. A
+masked weight stays exactly 0, and the loss is computed once per fit, at the
+end. The presets of a CV repeat share its split and normalization, and every
+repeat trains on the same number of rows, so the repeats stack: a weight matrix
+per repeat with a row per preset, in blocks of at most _BLOCK_ELEMENTS training
+values, so memory stays bounded however many repeats there are. A block's fits
+are scored together, with one stacked product per split.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +29,14 @@ _METRICS = ("precision", "recall", "f_measure", "train_accuracy")  # each with a
 
 @dataclass(frozen=True)
 class Hyper:
-    learning_rate: float = 0.1
-    epochs: int = 500
+    epochs: int = 500        # the most Newton steps a fit may take
     l2_lambda: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.l2_lambda < 0:
-            raise ConfigError("l2_lambda must be non-negative")
+        if self.l2_lambda <= 0:
+            raise ConfigError("l2_lambda must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,50 +79,52 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
 
 
 def train(X, y, masks, hyper=Hyper()):
-    """Gradient descent from zero init on a stack of training sets, X of shape
-    (r, m, d) and y of shape (r, m): one weight matrix per set, a row per mask.
-    Returns the weight stack W, of shape (r, k, d) for k masks, and the biases
-    b, of shape (r, k)."""
+    """Newton's method from zero init for each mask on each of a stack of training
+    sets, X of shape (r, m, d) and y of shape (r, m). Returns the weight stack W,
+    of shape (r, k, d) for k masks, and the biases b, of shape (r, k). A fit steps
+    until no weight or bias moves by 1e-10 or more; a fit still moving after
+    hyper.epochs steps raises TrainingError."""
     M = np.array(masks, dtype=bool)
     for labels in y:
         pos = int((labels == 1).sum())
         neg = int((labels == 0).sum())
         if pos == 0 or neg == 0:
             raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
-    r, m, _ = X.shape
-    lr, lam = hyper.learning_rate, hyper.l2_lambda
+    r, m, d = X.shape
+    lam = hyper.l2_lambda
     W = np.zeros((r,) + M.shape)
     b = np.zeros((r, len(M)))
-    # E = 1 / (1 + exp(-(W X^T + b))) - y and G = E X / m + (lam / m) W, computed
-    # into these buffers one operation at a time, in the order that keeps the bits
-    E = np.empty((r, len(M), m))
-    G = np.empty_like(W)
-    decay = np.empty_like(W)
-    step_b = np.empty_like(b)
-    finite = np.empty(W.shape, dtype=bool)
-    masked_out = ~M
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises TrainingError
-        for epoch in range(hyper.epochs):
-            np.matmul(W, X.transpose(0, 2, 1), out=E)
-            E += b[..., None]
-            np.negative(E, out=E)
-            np.exp(E, out=E)
-            E += 1.0
-            np.divide(1.0, E, out=E)
-            E -= y[:, None, :]
-            np.matmul(E, X, out=G)
-            G /= m
-            np.multiply(W, lam / m, out=decay)
-            G += decay
-            # where, not a product with M: 0 times a masked column's inf gradient is nan
-            np.copyto(G, 0.0, where=masked_out)
-            G *= lr
-            W -= G
-            np.mean(E, axis=-1, out=step_b)
-            step_b *= lr
-            b -= step_b
-            if not (np.isfinite(W, out=finite).all() and np.isfinite(b).all()):
-                raise TrainingError(f"weights diverged at epoch {epoch}")
+    # H and g: m times a fit's Hessian and gradient over its weights and bias. A masked
+    # weight keeps only the l2 term of its H row and column and has g 0: its step is 0.
+    keep = np.c_[M, np.ones(len(M), dtype=bool)]
+    l2 = np.diag(np.r_[np.full(d, lam), 0.0])
+    H = np.empty((d + 1, d + 1))
+    weighted = np.empty((d, m))  # the rows of a set, transposed, times p (1 - p)
+    with np.errstate(over="ignore"):  # exp overflows to inf where p is 0
+        for i, j in np.ndindex(b.shape):
+            x, w = X[i], W[i, j]
+            for _ in range(hyper.epochs):
+                p = 1.0 / (1.0 + np.exp(-(x @ w + b[i, j])))
+                s = p * (1.0 - p)
+                np.multiply(x.T, s, out=weighted)
+                H[:d, :d] = weighted @ x
+                H[:d, d] = H[d, :d] = weighted.sum(axis=1)
+                H[d, d] = s.sum()
+                H *= keep[j, :, None] & keep[j]
+                err = p - y[i]
+                g = np.r_[x.T @ err + lam * w, err.sum()] * keep[j]
+                try:
+                    step = np.linalg.solve(H + l2, g)
+                except np.linalg.LinAlgError:  # p (1 - p) is 0 on every row, and lam too small
+                    raise TrainingError(f"a Hessian is singular at l2_lambda = {lam}; "
+                                        "raise l2_lambda") from None
+                w -= step[:d]
+                b[i, j] -= step[d]
+                if np.abs(step).max() < 1e-10:
+                    break
+            else:
+                raise TrainingError(f"a fit did not converge within epochs = {hyper.epochs} "
+                                    "Newton steps; raise epochs or l2_lambda")
         losses = [loss_and_gradient(w, bias, Xs, ys, lam)[0]
                   for Ws, bs, Xs, ys in zip(W, b, X, y) for w, bias in zip(Ws, bs)]
     if not np.isfinite(losses).all():
@@ -224,8 +219,8 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     repeats >= 1 and 0 < train_fraction < 1, as load_config checks. Each repeat derives its own
     generator from (seed, repeat index), so the reports are identical under any evaluation
     order, and all presets share each repeat's split and normalization. Every split holds both
-    classes on its first draw. The repeats train in blocks of one gradient descent each, and
-    each block is scored in one pass.
+    classes on its first draw. The repeats train in blocks, and each block is scored in one
+    pass.
     """
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
@@ -281,7 +276,7 @@ def table2_presets():
 def report_from_json(fh):
     """The report of monte_carlo_cv, from the JSON file that stage_train wrote. A
     model_name that is not a string, a repeats that is not an integer >= 1, or a
-    metric mean or std that is not a finite number is a ParseError."""
+    metric mean or std that is not a number in [0, 1] is a ParseError."""
     report = json.load(fh)
     stats = dict(report["metrics"], train_accuracy=report["train_accuracy"])
     if not isinstance(report["model_name"], str):
@@ -291,8 +286,8 @@ def report_from_json(fh):
     for name in _METRICS:
         for key in ("mean", "std"):
             value = stats[name][key]
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ParseError(f"metric {name!r} {key} must be a finite number, "
+            if type(value) not in (int, float) or not 0 <= value <= 1:  # NaN fails too
+                raise ParseError(f"metric {name!r} {key} must be a number in [0, 1], "
                                  f"got {value!r:.40}")
     return report
 

@@ -63,9 +63,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv):
-    """`python -m forumflux.cli *argv` in a child process, where a traceback shows in stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]))
+def run_module(*argv, **env):
+    """`python -m forumflux.cli *argv` in a child process, where a traceback shows in stderr;
+    env holds extra environment variables."""
+    env = dict(os.environ, PYTHONPATH=str(Path(forumflux.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-m", "forumflux.cli", *argv],
                           capture_output=True, text=True, env=env)
 
@@ -118,6 +119,7 @@ def test_malformed_config_value_exits_1(tmp_path, line):
 
 # {tmp} is the test's directory: a word list that is missing, or a directory
 @pytest.mark.parametrize("line", ["repeats = 0", "train_fraction = 1", "epochs = 0", "beta = 1",
+                                  "l2_lambda = 0",
                                   "window_days = 0", "task = bogus", "format = xml",
                                   "synth_n_users = 0", "synth_n_users = 5",
                                   "lexicon = {tmp}/missing.tsv", "lexicon = {tmp}",
@@ -241,16 +243,29 @@ class TestFullRun:
         for rel in artifact_tree(staged):
             assert filecmp.cmp(staged / rel, whole / rel, shallow=False), rel
 
-    def test_diverging_training_exits_3(self, tmp_path, config_path):
+    def test_training_that_does_not_converge_exits_3(self, tmp_path, config_path):
         out = str(tmp_path / "out")
         for stage in ("synth", "ingest", "snapshots", "communities", "roles", "features"):
             assert run_cli("--config", config_path, "--out", out, "--quiet", stage) == 0
-        cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(SYNTH_CFG + "learning_rate = 1e300\n")
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(SYNTH_CFG + "epochs = 1\n")
         proc = run_module("--config", str(cfg), "--out", out, "--quiet", "train")
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("error: weights diverged at epoch "), proc.stderr
+        assert proc.stderr.startswith("error: a fit did not converge within epochs = 1 "), \
+            proc.stderr
         assert not (Path(out) / "reports").exists()
+
+    def test_run_does_not_depend_on_the_blas_thread_count(self, built_tree, tmp_path):
+        trees = []
+        for threads in ("1", "2"):
+            shutil.copytree(built_tree[1], tmp_path / threads)
+            trees.append(tmp_path / threads)
+            proc = run_module("--config", str(built_tree[0]), "--out", str(trees[-1]), "--quiet",
+                              "run", OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        assert artifact_tree(trees[0]) == artifact_tree(trees[1])
+        for rel in artifact_tree(trees[0]):
+            assert filecmp.cmp(trees[0] / rel, trees[1] / rel, shallow=False), rel
 
     def test_seed_flag_overrides_config(self, tmp_path, config_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -438,6 +453,21 @@ class TestArtifactInterface:
             f"error: malformed {path}: user {user!r} is in two communities of snapshot "
             f"{snap} at line {len(lines) + 1}\n")
 
+    def test_community_member_outside_the_graph_fails_features_not_roles(self, built_tree,
+                                                                         tmp_path, capsys):
+        out = copy_tree(built_tree, tmp_path)
+        path = out / "communities.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("0,99,ghost\n")
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                       "roles") == 0
+        assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet",
+                       "features") == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed {path}: user 'ghost' is not a node of the graph of snapshot 0 "
+            f"at line {len(lines) + 1}\n")
+
     def test_empty_input_exits_2_naming_it(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
         corpus.write_bytes(b"")
@@ -573,8 +603,11 @@ def test_report_round_trip(built_tree, tmp_path):
     lambda report: report["metrics"]["f_measure"].update(mean="0.5"),
     lambda report: report.update(model_name=1),
     lambda report: report["metrics"]["f_measure"].update(mean=float("nan")),
-    lambda report: report.update(repeats="many")],
-    ids=["mean a string", "name a number", "mean NaN", "repeats a string"])
+    lambda report: report.update(repeats="many"),
+    lambda report: report["metrics"]["f_measure"].update(mean=7.5),
+    lambda report: report["metrics"]["recall"].update(std=-1.0)],
+    ids=["mean a string", "name a number", "mean NaN", "repeats a string", "mean above 1",
+         "std below 0"])
 def test_report_of_the_wrong_types_exits_2_naming_it(built_tree, tmp_path, capsys, edit):
     out = copy_tree(built_tree, tmp_path)
     path = out / "reports" / "m1.json"

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from forumflux import model
-from forumflux.errors import ParseError, TrainingError
+from forumflux.errors import ConfigError, ParseError, TrainingError
 from forumflux.featureset import FEATURE_NAMES, N_FEATURES
 from forumflux.model import (AblationPreset, Hyper, loss_and_gradient,
                              monte_carlo_cv, normalize_apply, normalize_fit,
@@ -27,33 +28,22 @@ def separable_data(rng, n=200, d=N_FEATURES):
 
 
 def reference_train(X, y, mask, hyper=Hyper()):
-    """One mask at a time, loss checked every epoch: the trainer before the
-    masks were stacked into one weight matrix. Returns (weights, bias)."""
-    Xm = X * mask
+    """One fit alone, on the columns of its mask alone: Newton's method on the
+    bias-augmented rows, to a step below 1e-13. Returns (weights, bias), the
+    weights of the masked columns 0."""
+    A = np.c_[X[:, mask], np.ones(len(X))]
+    l2 = np.r_[np.full(int(mask.sum()), hyper.l2_lambda), 0.0]
+    theta = np.zeros(A.shape[1])
+    for _ in range(100):
+        p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+        H = A.T @ (A * (p * (1.0 - p))[:, None]) + np.diag(l2)
+        step = np.linalg.solve(H, A.T @ (p - y) + l2 * theta)
+        theta -= step
+        if np.abs(step).max() < 1e-13:
+            break
     w = np.zeros(X.shape[1])
-    b = 0.0
-    for epoch in range(hyper.epochs):
-        loss, grad_w, grad_b = loss_and_gradient(w, b, Xm, y, hyper.l2_lambda)
-        if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged to {loss} at epoch {epoch}")
-        w = w - hyper.learning_rate * grad_w
-        b = b - hyper.learning_rate * grad_b
-    return w * mask, b
-
-
-def allocating_train(X, y, masks, hyper):
-    """One set, one expression per update, fresh arrays each epoch: the trainer
-    before the buffers. Returns the (weights, bias) matrices."""
-    M = np.array(masks, dtype=bool)
-    m = X.shape[0]
-    lr, lam = hyper.learning_rate, hyper.l2_lambda
-    W = np.zeros(M.shape)
-    b = np.zeros(len(M))
-    for _ in range(hyper.epochs):
-        E = 1.0 / (1.0 + np.exp(-(W @ X.T + b[:, None]))) - y
-        W -= lr * np.where(M, (E @ X) / m + (lam / m) * W, 0.0)
-        b -= lr * E.mean(axis=1)
-    return W, b
+    w[mask] = theta[:-1]
+    return w, theta[-1]
 
 
 def proba(w, bias, X):
@@ -129,15 +119,14 @@ class TestGradient:
         rng = np.random.default_rng(1)
         X, y = separable_data(rng, n=60)
         X += rng.normal(scale=0.5, size=X.shape)  # make it noisy
-        hyper = Hyper(learning_rate=0.01, epochs=200)
         w = np.zeros(N_FEATURES)
         b = 0.0
         losses = []
-        for _ in range(hyper.epochs):
-            loss, gw, gb = loss_and_gradient(w, b, X, y, hyper.l2_lambda)
+        for _ in range(200):
+            loss, gw, gb = loss_and_gradient(w, b, X, y, 0.01)
             losses.append(loss)
-            w -= hyper.learning_rate * gw
-            b -= hyper.learning_rate * gb
+            w -= 0.01 * gw
+            b -= 0.01 * gb
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -151,8 +140,7 @@ class TestTrain:
     def test_large_l2_shrinks_weights(self):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, n=100)
-        W, b = train(X[None], y[None], [full_mask()],
-                     hyper=Hyper(learning_rate=0.001, l2_lambda=1e5))
+        W, b = train(X[None], y[None], [full_mask()], hyper=Hyper(l2_lambda=1e5))
         assert np.all(np.abs(W) < 1e-2)
         assert np.all(np.abs(proba(W[0, 0], b[0, 0], X) - 0.5) < 0.1)
 
@@ -160,11 +148,24 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(np.ones((1, 3, 2)), np.ones((1, 3)), [full_mask(2)])
 
-    def test_divergence_detected(self):
-        X = np.array([[1e300], [-1e300]])
-        y = np.array([1.0, 0.0])
-        with pytest.raises(TrainingError):
-            train(X[None], y[None], [full_mask(1)], hyper=Hyper(learning_rate=1e280, epochs=5))
+    def test_a_fit_that_has_not_converged_by_the_step_cap_raises(self):
+        rng = np.random.default_rng(19)
+        X, y = separable_data(rng, n=60)
+        with pytest.raises(TrainingError, match=r"within epochs = 1 Newton steps"):
+            train(X[None], y[None], [full_mask()], Hyper(epochs=1))
+        # separable rows: the smaller l2_lambda, the larger the weights and the more steps
+        with pytest.raises(TrainingError, match=r"within epochs = 500 Newton steps"):
+            train(X[None], y[None], [full_mask()], Hyper(l2_lambda=1e-12))
+        with pytest.raises(TrainingError, match=r"a Hessian is singular at l2_lambda = 1e-100"):
+            train(X[None], y[None], [full_mask()], Hyper(l2_lambda=1e-100))
+        W, _ = train(X[None], y[None], [full_mask()], Hyper(l2_lambda=1e-6))
+        assert np.abs(W).max() > 10.0
+
+    @pytest.mark.parametrize("fields", [{"epochs": 0}, {"l2_lambda": 0.0},
+                                        {"l2_lambda": -1.0}])
+    def test_out_of_range_hyper_is_a_config_error(self, fields):
+        with pytest.raises(ConfigError):
+            Hyper(**fields)
 
     def test_masked_weights_stay_zero(self):
         rng = np.random.default_rng(3)
@@ -184,6 +185,50 @@ class TestTrain:
         p1 = proba(W[0, 0], b[0, 0], X)
         p2 = proba(W_reduced[0, 0], b_reduced[0, 0], X[:, mask])
         assert np.max(np.abs(p1 - p2)) < 1e-12
+
+
+class TestOptimum:
+    """Every fit is the minimum of its regularized loss, not where a stopping rule
+    left it."""
+
+    def test_fits_match_scipy_with_a_zero_gradient_and_zero_masked_weights(self):
+        rng = np.random.default_rng(21)
+        for _ in range(12):  # z-scored rows and noisy labels, as monte_carlo_cv trains on
+            n = int(rng.integers(30, 160))
+            X = rng.normal(size=(n, N_FEATURES)) * rng.uniform(0.1, 10.0, size=N_FEATURES)
+            y = (X @ rng.normal(size=N_FEATURES) + rng.normal(scale=3.0, size=n) > 0) * 1.0
+            y[:2] = [0.0, 1.0]
+            X = normalize_apply(normalize_fit(X), X)
+            masks, lam = random_masks(rng, 3), float(10.0 ** rng.uniform(-4, 1))
+            W, b = train(X[None], y[None], masks, Hyper(l2_lambda=lam))
+            for mask, w, bias in zip(masks, W[0], b[0]):
+                assert np.all(w[~mask] == 0.0)
+                _, grad_w, grad_b = loss_and_gradient(w[mask], bias, X[:, mask], y, lam)
+                assert max(np.abs(grad_w).max(), abs(grad_b)) < 1e-8
+
+                def loss(theta):
+                    value, gw, gb = loss_and_gradient(theta[:-1], theta[-1], X[:, mask], y, lam)
+                    return value, np.r_[gw, gb]
+
+                fit = minimize(loss, np.zeros(int(mask.sum()) + 1), jac=True, method="BFGS",
+                               options={"gtol": 1e-10})
+                np.testing.assert_allclose(np.r_[w[mask], bias], fit.x, rtol=0, atol=1e-6)
+
+    def test_long_gradient_descent_approaches_the_newton_fit(self):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(80, N_FEATURES))
+        y = (X[:, 0] + rng.normal(scale=1.5, size=80) > 0).astype(np.float64)
+        W, b = train(X[None], y[None], [full_mask()])
+        newton = np.r_[W[0, 0], b[0, 0]]
+        w, bias, gaps = np.zeros(N_FEATURES), 0.0, []
+        for epoch in range(1, 20001):
+            _, grad_w, grad_b = loss_and_gradient(w, bias, X, y, Hyper().l2_lambda)
+            w -= 0.1 * grad_w
+            bias -= 0.1 * grad_b
+            if epoch in (500, 2000, 5000, 20000):
+                gaps.append(np.abs(np.r_[w, bias] - newton).max())
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[0] > 0.1 and gaps[-1] < 1e-9  # 500 epochs stop short; 20,000 arrive
 
 
 class TestStackedTrain:
@@ -208,8 +253,7 @@ class TestStackedTrain:
             y[: len(y) // 3] = 0.0  # imbalanced, so balance drops rows
             presets = [AblationPreset(f"p{i}", f"p{i}", mask)
                        for i, mask in enumerate(random_masks(rng, 5))]
-            hyper = Hyper(learning_rate=float(rng.uniform(0.05, 0.5)), epochs=60,
-                          l2_lambda=float(rng.uniform(0, 0.1)))
+            hyper = Hyper(epochs=60, l2_lambda=float(10.0 ** rng.uniform(-4, 1)))
             monte_carlo_cv(X, y, presets, repeats=3, hyper=hyper, seed=3, balance=balance)
         assert sum(len(X) for X, *_ in calls) == 6
         for X_stack, y_stack, masks, hyper, (W_stack, b_stack) in calls:
@@ -220,32 +264,21 @@ class TestStackedTrain:
                 np.testing.assert_allclose(X.std(axis=0), 1.0, rtol=1e-12)
                 for mask, w_fit, b_fit in zip(masks, W, b):
                     w, bias = reference_train(X, y, mask, hyper)
-                    np.testing.assert_allclose(w_fit, w, rtol=1e-12, atol=1e-15)
-                    assert b_fit == pytest.approx(bias, rel=1e-12, abs=1e-15)
+                    np.testing.assert_allclose(w_fit, w, rtol=1e-10, atol=1e-10)
+                    assert b_fit == pytest.approx(bias, rel=1e-10, abs=1e-10)
 
     def test_stack_equals_one_set_at_a_time_bitwise(self):
         rng = np.random.default_rng(16)
         X = rng.normal(size=(4, 70, N_FEATURES))
         y = (X[..., 0] + rng.normal(scale=2.0, size=(4, 70)) > 0).astype(np.float64)
         masks = random_masks(rng, 5)
-        hyper = Hyper(learning_rate=0.3, epochs=80)
+        hyper = Hyper(epochs=80)
         W, b = train(X, y, masks, hyper)
         assert len(W) == 4
         for X_set, y_set, W_set, b_set in zip(X, y, W, b):
             W_alone, b_alone = train(X_set[None], y_set[None], masks, hyper)
             assert np.array_equal(W_set, W_alone[0])
             assert np.array_equal(b_set, b_alone[0])
-
-    def test_buffered_epochs_keep_the_bits_of_the_allocating_expressions(self):
-        rng = np.random.default_rng(18)
-        X = rng.normal(size=(3, 90, N_FEATURES)) * rng.uniform(0.1, 10.0, size=N_FEATURES)
-        y = (X[..., 1] + rng.normal(scale=3.0, size=(3, 90)) > 0).astype(np.float64)
-        masks = random_masks(rng, 5)
-        hyper = Hyper(learning_rate=0.2, epochs=120, l2_lambda=0.05)
-        for X_set, y_set, W_set, b_set in zip(X, y, *train(X, y, masks, hyper)):
-            W, b = allocating_train(X_set, y_set, masks, hyper)
-            assert np.array_equal(W_set, W)
-            assert np.array_equal(b_set, b)
 
     @pytest.mark.parametrize("balance", [False, True])
     def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, balance):
@@ -271,27 +304,6 @@ class TestStackedTrain:
         with pytest.raises(TrainingError):
             train(X, y, [full_mask(2)])
 
-    def test_masked_column_with_an_infinite_gradient_stays_zero(self):
-        # column 0's gradient overflows to -inf; a product with the mask would make it nan
-        X = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, -1.0], [-1e308, -2.0]])
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        W, _ = train(X[None], y[None], [np.array([False, True])], Hyper(epochs=5))
-        assert W[0, 0, 0] == 0.0
-        assert np.isfinite(W[0, 0, 1])
-
-    def test_one_diverging_set_among_calm_sets_raises(self):
-        calm = np.array([[1e-300], [-1e-300]])
-        X = np.stack([calm, np.array([[1e300], [-1e300]]), calm])
-        y = np.array([[1.0, 0.0]] * 3)
-        hyper = Hyper(learning_rate=1e280, epochs=5, l2_lambda=0.0)
-        assert np.isfinite(train(X[[0, 2]], y[[0, 2]], [full_mask(1)], hyper)[0]).all()
-        with pytest.raises(TrainingError) as alone:
-            train(X[[1]], y[[1]], [full_mask(1)], hyper)
-        with pytest.raises(TrainingError) as stacked:
-            train(X, y, [full_mask(1)], hyper)
-        assert str(stacked.value) == str(alone.value)
-        assert str(stacked.value).startswith("weights diverged at epoch ")
-
     def test_each_report_equals_its_single_preset_run(self):
         rng = np.random.default_rng(12)
         X, y = separable_data(rng, n=150)
@@ -314,15 +326,6 @@ class TestStackedTrain:
                 assert np.all(w[~mask] == 0.0)
                 assert np.all(np.isfinite(w))
 
-    def test_one_diverging_row_raises(self):
-        X = np.array([[1e300, 1e-300], [-1e300, -1e-300]])
-        y = np.array([1.0, 0.0])
-        hyper = Hyper(learning_rate=1e280, epochs=5, l2_lambda=0.0)
-        calm = np.array([False, True])
-        assert np.isfinite(train(X[None], y[None], [calm], hyper)[0]).all()
-        with pytest.raises(TrainingError):
-            train(X[None], y[None], [calm, ~calm], hyper)
-
     def test_loss_computed_once_per_fit_not_per_epoch(self, monkeypatch):
         calls = []
         real = model.loss_and_gradient
@@ -342,8 +345,8 @@ class TestStackedTrain:
         monkeypatch.setattr(model, "loss_and_gradient",
                             lambda w, b, X, y, lam: (float("nan"), w, b))
         X, y = separable_data(np.random.default_rng(15), n=30)
-        with pytest.raises(TrainingError):
-            train(X[None], y[None], [full_mask()], Hyper(epochs=3))
+        with pytest.raises(TrainingError, match="final losses"):
+            train(X[None], y[None], [full_mask()])
 
 
 labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=60).filter(
@@ -503,8 +506,11 @@ def test_report_serialization_round_trip():
     lambda r: r.update(repeats=True),
     lambda r: r.update(repeats=0),
     lambda r: r.update(model_name=None),
+    lambda r: r["metrics"]["f_measure"].update(mean=7.5),
+    lambda r: r["metrics"]["recall"].update(std=-1.0),
+    lambda r: r["train_accuracy"].update(mean=1.0000001),
 ], ids=["nan mean", "inf std", "std a string", "repeats a string", "repeats a bool",
-        "repeats 0", "name None"])
+        "repeats 0", "name None", "mean above 1", "std below 0", "mean just above 1"])
 def test_report_from_json_rejects_bad_values(edit):
     rng = np.random.default_rng(10)
     X, y = separable_data(rng, n=80)
