@@ -1,15 +1,16 @@
 """Closeness and betweenness over CSR adjacency, in one numpy kernel.
 
-Brandes' algorithm (2001) runs level by level for a block of BFS sources at
-once: a level's shortest-path counts are the previous level's counts summed
-over each node's neighbours (a gather over `indices` reduced per node with
-`np.add.reduceat`), and dependencies flow back through the same gather. Each
-block's (sources x nodes) and (sources x edge slots) arrays stay within
-_BLOCK_ELEMENTS elements, so memory is O(block * (n + nnz)), never n x n, and
-no BLAS routine is called. Path counts are exact integers in float64.
-Closeness uses the reachable-count correction (r/(n-1)) * (r/sum_d) so
-disconnected snapshot graphs stay finite; betweenness is the unnormalized
-ordered-pair sum halved for undirectedness.
+A BFS source reaches only its own connected component, so the kernel works per
+component: a stable sort on `component_labels` makes each a contiguous CSR slice,
+nodes in ascending order, and components of one node are skipped. Within one,
+Brandes' algorithm (2001) runs level by level for a block of BFS sources at once:
+a level's shortest-path counts are the previous level's summed over each node's
+neighbours (a gather over `indices` reduced per node with `np.add.reduceat`), and
+dependencies flow back through the same gather. A block's (sources x nodes) and
+(sources x edge slots) arrays stay within _BLOCK_ELEMENTS elements, so work and
+memory are O(block * largest component); no BLAS routine is called. Path counts
+are exact integers in float64. Closeness is (r/(n-1)) * (r/sum_d), r the reachable
+count and n the whole graph's; betweenness is the ordered-pair sum halved.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ def active_backend():
     return "numpy"
 
 
+def component_labels(indptr, indices):
+    """Per node, the smallest node of its component: min-label propagation, pointer jumping."""
+    linked = np.flatnonzero(np.diff(indptr))
+    low, old = np.arange(indptr.shape[0] - 1), None
+    while not np.array_equal(low, old):
+        old, low = low, low.copy()
+        low[linked] = np.minimum(low[linked], np.minimum.reduceat(old[indices], indptr[linked]))
+        low = low[low]  # a label names a node of the same component: take that node's label
+    return low
+
+
 def centrality_csr(indptr, indices):
     """(closeness, betweenness) arrays for a CSR undirected adjacency."""
     indptr = np.asarray(indptr, dtype=np.int64)
@@ -32,13 +44,28 @@ def centrality_csr(indptr, indices):
     closeness, betweenness = np.zeros(n), np.zeros(n)
     if indices.size == 0:
         return closeness, betweenness
-    linked = np.flatnonzero(np.diff(indptr))
+    label = component_labels(indptr, indices)
+    order = np.argsort(label, kind="stable")  # component by component, nodes ascending
+    position = np.argsort(order)  # each node's place in that order
+    degree = np.diff(indptr)[order]
+    ptr = np.concatenate([[0], np.cumsum(degree)])  # the CSR of the nodes in that order
+    nbr = position[indices[np.repeat(indptr[order] - ptr[:-1], degree) + np.arange(indices.size)]]
+    bounds = np.flatnonzero(np.diff(label[order], prepend=-1, append=n))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo > 1:
+            closeness[order[lo:hi]], betweenness[order[lo:hi]] = _component_centrality(
+                ptr[lo:hi + 1] - ptr[lo], nbr[ptr[lo]:ptr[hi]] - lo, n)
+    return closeness, betweenness
+
+
+def _component_centrality(indptr, indices, n_graph):
+    """centrality_csr of a connected graph of 2+ nodes, in a graph of n_graph nodes."""
+    n = indptr.shape[0] - 1
+    closeness, betweenness = np.zeros(n), np.zeros(n)
 
     def neighbour_sum(x):
-        """out[:, v] = sum of x[:, w] over the neighbours w of v."""
-        out = np.zeros_like(x)
-        out[:, linked] = np.add.reduceat(x[:, indices], indptr[linked], axis=1)
-        return out
+        """out[:, v] = sum of x[:, w] over the neighbours w of v; every node has one."""
+        return np.add.reduceat(x[:, indices], indptr[:-1], axis=1)
 
     block = max(1, _BLOCK_ELEMENTS // max(n, indices.size))
     for lo in range(0, n, block):
@@ -54,11 +81,7 @@ def centrality_csr(indptr, indices):
                 break
             depth += 1
             dist[found], sigma[found] = depth, paths[found]
-
-        reached = (dist >= 0).sum(axis=1) - 1
-        some = reached > 0
-        total = np.maximum(dist, 0).sum(axis=1)[some]
-        closeness[sources[some]] = (reached[some] / (n - 1)) * (reached[some] / total)
+        closeness[sources] = ((n - 1) / (n_graph - 1)) * ((n - 1) / dist.sum(axis=1))  # r = n-1
 
         delta = np.zeros_like(sigma)
         for d in range(depth, 1, -1):
@@ -66,5 +89,4 @@ def centrality_csr(indptr, indices):
             parents = dist == d - 1
             delta[parents] = sigma[parents] * neighbour_sum(share)[parents]
         betweenness += delta.sum(axis=0)
-    betweenness *= 0.5
-    return closeness, betweenness
+    return closeness, 0.5 * betweenness

@@ -9,7 +9,9 @@ be resumed or inspected at any point. Every file, the config and the input
 included, is read through `_read`, whose errors name the file. Window graphs
 are built once, by `snapshots`, and read back from graphs/edges.csv; the
 window calendar is read from corpus_stats.json. `run` executes all stages in
-order; identical config + inputs produce a byte-identical artifact tree.
+order and hands the posts `ingest` parsed to `snapshots` and `features`, which
+read posts.jsonl only when run alone; identical config + inputs produce a
+byte-identical artifact tree.
 
 Exit codes: 0 success, 1 usage/config, 2 data error, 3 modeling error.
 """
@@ -214,6 +216,7 @@ def stage_ingest(cfg, out_dir):
     _write(out_dir / "corpus_stats.json", {
         **asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
         "last_post": ingest.format_timestamp(stats.last_post)})
+    return posts
 
 
 def _post_span(fh):
@@ -231,10 +234,9 @@ def _windows(cfg, out_dir):
         *_read(out_dir / "corpus_stats.json", "ingest", _post_span), cfg.window_days)
 
 
-def stage_snapshots(cfg, out_dir):
-    # the posts are freed once the graphs are built, before edges_csv runs
-    graphs = graph_mod.window_graphs(
-        _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
+def stage_snapshots(cfg, out_dir, posts=None):
+    graphs = graph_mod.window_graphs(  # posts read here are freed before edges_csv runs
+        posts or _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
         _windows(cfg, out_dir))
     _write(out_dir / "graphs" / "edges.csv", graph_mod.edges_csv(graphs))
 
@@ -259,12 +261,12 @@ def stage_roles(cfg, out_dir):
     _write(out_dir / "roles.csv", evolution.roles_csv(labels))
 
 
-def stage_features(cfg, out_dir):
+def stage_features(cfg, out_dir, posts=None):
     roles = out_dir / "roles.csv"
     labels = _read(roles, "roles", evolution.roles_from_csv)
     ctx = featureset.FeatureContext(
-        _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
-        *(windows_graphs := _read_graphs(cfg, out_dir)),  # no local holds the posts
+        posts or _read(out_dir / "posts.jsonl", "ingest", ingest.parse_posts, "jsonl"),
+        *(windows_graphs := _read_graphs(cfg, out_dir)),  # no local holds read posts
         _read(out_dir / "communities.csv", "communities", community_mod.communities_from_csv,
               {g.snapshot_index: g.nodes for g in windows_graphs[1]}),  # as modularity needs
         cfg.lexicon, cfg.intents)
@@ -306,14 +308,19 @@ _RUN_ORDER = ["ingest", "snapshots", "communities", "roles", "features", "train"
 
 
 def run_pipeline(cfg, out_dir, quiet=False):
-    """Execute all stages in order against one output directory."""
+    """Execute all stages in order against one output directory, handing the posts
+    `ingest` returns to `snapshots` and `features`; `train` runs without them."""
+    posts = None
     for name in _RUN_ORDER:
         if not quiet:
             print(f"[{name}] running", file=sys.stderr)
+        handed = (posts,) if name in ("snapshots", "features") else ()
         try:
-            _STAGES[name](cfg, out_dir)
+            result = _STAGES[name](cfg, out_dir, *handed)
         except ForumFluxError as exc:
             raise type(exc)(f"stage {name}: {exc}") from exc
+        if name in ("ingest", "features"):
+            posts = result if name == "ingest" else None  # train runs without the posts
 
 
 def _build_parser():

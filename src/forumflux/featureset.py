@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -203,8 +202,8 @@ def dataset_csv(examples):
 
 
 def dataset_from_csv(fh):
-    """(X, y) float64 arrays from a dataset_csv text, in row order. A label
-    other than 0 or 1, or a feature that is not finite, is a ParseError."""
+    """(X, y) float64 arrays from a dataset_csv text, in row order. A label other than
+    0 or 1, or a feature that is NaN or beyond +-1e150, is a ParseError."""
     reader = csv.reader(fh)
     if next(reader, None) != DATASET_COLUMNS:
         raise ParseError("dataset header must be task,snapshot_index,user_id,label "
@@ -221,8 +220,9 @@ def dataset_from_csv(fh):
         if label not in (0.0, 1.0):
             raise ParseError(f"dataset label at line {reader.line_num} must be 0 or 1, "
                              f"got {row[3]!r}")
-        if not all(map(math.isfinite, features)):
-            raise ParseError(f"non-finite feature in dataset row at line {reader.line_num}")
+        if not all(-1e150 <= v <= 1e150 for v in features):  # standardization squares them
+            raise ParseError(f"feature in dataset row at line {reader.line_num} is not finite "
+                             "or exceeds 1e150 in magnitude")
         y.append(label)
         X.append(features)
     if not X:

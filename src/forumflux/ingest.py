@@ -14,7 +14,8 @@ import json
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
-from operator import attrgetter, itemgetter
+from json.encoder import encode_basestring
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,7 +70,8 @@ def format_timestamp(ts):
 _FIELDS = frozenset(CSV_COLUMNS)
 _field_values = itemgetter(*CSV_COLUMNS)
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # from \u escapes, or bad bytes by surrogateescape
-_JSON = json.JSONEncoder(ensure_ascii=False)  # json.dumps would build one per row
+# one JSONL row, as json.dumps(..., ensure_ascii=False) writes the five fields in column order
+_ROW = "{" + ", ".join(f'"{k}": %s' for k in CSV_COLUMNS) + "}\n"
 
 
 def _make_record(values, where, seen_ids, check_text=True):
@@ -147,11 +149,10 @@ def parse_posts(stream, fmt):
 
 def serialize_posts(records):
     """Serialize records to JSONL bytes; inverse of parse_posts with fmt 'jsonl'."""
-    values = attrgetter(*CSV_COLUMNS)
-    rows = ([format_timestamp(v) if isinstance(v, datetime) else v for v in values(rec)]
-            for rec in records)  # made as they are written, never all held at once
-    buf = io.StringIO()
-    buf.writelines(_JSON.encode(dict(zip(CSV_COLUMNS, row))) + "\n" for row in rows)
+    enc = encode_basestring
+    buf = io.StringIO()  # rows are made as they are written, never all held at once
+    buf.writelines(_ROW % (enc(p.post_id), enc(p.thread_id), enc(p.user_id),
+                           enc(format_timestamp(p.created_at)), enc(p.body)) for p in records)
     return buf.getvalue().encode("utf-8")
 
 

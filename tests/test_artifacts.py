@@ -70,7 +70,8 @@ def test_roles_round_trip(labels):
     assert roles_from_csv(io.StringIO(roles_csv(labels), newline="")) == expected
 
 
-feature_vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=N_FEATURES,
+# every value dataset_from_csv accepts: finite, at most 1e150 in magnitude
+feature_vectors = st.lists(st.floats(-1e150, 1e150), min_size=N_FEATURES,
                            max_size=N_FEATURES).map(lambda v: FeatureVector(*v))
 examples = st.builds(LabeledExample, user_id=user_ids, snapshot_index=st.integers(0, 9),
                      task=st.sampled_from(Task), label=st.integers(0, 1),
@@ -108,6 +109,10 @@ def dataset_row(label, features):
     (dataset_from_csv, dataset_row("nan", ["0.5"] * N_FEATURES), ParseError),
     (dataset_from_csv, dataset_row("1", ["nan"] + ["0.5"] * (N_FEATURES - 1)), ParseError),
     (dataset_from_csv, dataset_row("0", ["0.5"] * (N_FEATURES - 1) + ["-inf"]), ParseError),
+    # finite, but standardization would overflow squaring them
+    (dataset_from_csv, dataset_row("1", ["1e200"] + ["0.5"] * (N_FEATURES - 1)), ParseError),
+    (dataset_from_csv, dataset_row("1", ["0.5", "1e307"] + ["0.5"] * (N_FEATURES - 2)), ParseError),
+    (dataset_from_csv, dataset_row("0", ["0.5"] * (N_FEATURES - 1) + ["-1e307"]), ParseError),
 ])
 def test_malformed_artifact_rejected(reader, text, error):
     with pytest.raises(error):

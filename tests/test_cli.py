@@ -230,16 +230,23 @@ class TestFullRun:
         for rel in tree_a:
             assert filecmp.cmp(outs[0] / rel, outs[1] / rel, shallow=False), rel
 
-    def test_stage_isolation_equals_run(self, tmp_path, config_path):
+    def test_stage_isolation_equals_run(self, tmp_path, config_path, monkeypatch):
+        parses = []
+        parse_posts = ingest.parse_posts
+        monkeypatch.setattr(ingest, "parse_posts",
+                            lambda *args: parses.append(args) or parse_posts(*args))
         staged = tmp_path / "staged"
         run_cli("--config", config_path, "--out", str(staged), "--quiet", "synth")
         for stage in ("ingest", "snapshots", "communities", "roles",
                       "features", "train", "report"):
             assert run_cli("--config", config_path, "--out", str(staged),
                            "--quiet", stage) == 0
+        # ingest, snapshots and features each read posts.jsonl
+        assert len(parses) == 3
         whole = tmp_path / "whole"
         run_cli("--config", config_path, "--out", str(whole), "--quiet", "synth")
         run_cli("--config", config_path, "--out", str(whole), "--quiet", "run")
+        assert len(parses) == 4  # run hands the posts ingest parsed on
         for rel in artifact_tree(staged):
             assert filecmp.cmp(staged / rel, whole / rel, shallow=False), rel
 
@@ -587,6 +594,26 @@ def test_malformed_artifact_exits_2_naming_it(built_tree, tmp_path, capsys, name
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed {path}: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [lambda i, v: float(v) * 1e200,
+                                  lambda i, v: 1e307 if i % 2 else -1e307],
+                         ids=["scaled by 1e200", "set to +-1e307"])
+def test_huge_finite_feature_exits_2_naming_its_line(built_tree, tmp_path, capsys, edit):
+    out = copy_tree(built_tree, tmp_path)
+    path = out / "dataset.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("last_activity")
+    for i, row in enumerate(rows[1:]):
+        row[column] = repr(edit(i, row[column]))
+    rows[1][column] = repr(edit(1, "1.5"))  # the first row is huge whatever its value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    # standardization would overflow squaring the column, and silently drop the feature
+    assert run_cli("--config", str(built_tree[0]), "--out", str(out), "--quiet", "train") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {path}: feature in dataset row at line 2 "), err
 
 
 def test_report_round_trip(built_tree, tmp_path):

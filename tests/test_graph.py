@@ -284,6 +284,60 @@ class TestCentralityOracles:
             for u in g.nodes:
                 assert bet[u] == pytest.approx(exp_bet[u], rel=1e-12, abs=1e-12)
 
+    def test_each_component_scores_as_it_does_alone(self):
+        # the parts' nodes interleave in sorted order, and isolated nodes sit between them
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            parts = [make_graph([(rename(a, k), rename(b, k)) for a, b in g.edges],
+                                extra_nodes=[rename(u, k) for u in g.nodes])
+                     for k, g in enumerate(random_graph(rng, int(rng.integers(2, 25)), p=0.3)
+                                           for _ in range(4))]
+            loners = [f"n{i:03d}_x" for i in rng.choice(30, size=5, replace=False)]
+            union = make_graph([e for g in parts for e in g.edges],
+                               extra_nodes=[u for g in parts for u in g.nodes] + loners)
+            clo, bet = centrality_all(union)
+            assert clo == brandes_reference(union)[0]
+            for u in loners:
+                assert (clo[u], bet[u]) == (0.0, 0.0)
+            for g in parts:
+                part_clo, part_bet = centrality_all(g)
+                scale = (len(g.nodes) - 1) / (len(union.nodes) - 1)
+                for u in g.nodes:
+                    assert bet[u] == part_bet[u]  # the same component, the same sums
+                    assert clo[u] == pytest.approx(part_clo[u] * scale, rel=1e-12)
+
+
+def rename(node, k):
+    """random_graph's node n<i> as part k of a union; zero padding keeps the order."""
+    return f"n{int(node[1:]):03d}_{k}"
+
+
+def csr(graph):
+    """(indptr, indices) of a graph over its sorted nodes, as centrality_all builds them."""
+    order, rows, cols = node_index(graph)
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(order)))]), cols
+
+
+def test_component_labels_match_scipy():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(5)
+    graphs = [random_graph(rng, int(rng.integers(1, 60)), p=float(rng.uniform(0, 0.1)))
+              for _ in range(200)]
+    # a long path numbered out of order: many propagation rounds
+    path = [f"n{i:03d}" for i in rng.permutation(200)]
+    graphs.append(make_graph(list(zip(path, path[1:]))))
+    for g in graphs:
+        indptr, indices = csr(g)
+        n = len(g.nodes)
+        labels = _kernels.component_labels(indptr, indices)
+        adjacency = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        count, expected = connected_components(adjacency, directed=False)
+        smallest = np.full(count, n)
+        np.minimum.at(smallest, expected, np.arange(n))
+        assert labels.tolist() == smallest[expected].tolist()
+
 
 class SmallSourceBlocks:
     """Rerun a centrality suite with the kernel's source blocks shrunk, so each graph

@@ -197,6 +197,8 @@ class TestTimestamps:
         assert ingest.format_timestamp(ts) == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_created_at = st.integers(min_value=0, max_value=10**9).map(
+    lambda s: T0 + timedelta(seconds=s))
 _record_strategy = st.builds(
     PostRecord,
     post_id=st.uuids().map(str),
@@ -204,8 +206,7 @@ _record_strategy = st.builds(
                       min_size=1, max_size=8),
     user_id=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n\"\x00"),
                     min_size=1, max_size=8),
-    created_at=st.integers(min_value=0, max_value=10**9).map(
-        lambda s: T0 + timedelta(seconds=s)),
+    created_at=_created_at,
     body=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                  max_size=40),
 )
@@ -217,6 +218,31 @@ _record_strategy = st.builds(
 def test_serialize_parse_round_trip(records, fmt):
     data = serialize(records, fmt)
     assert parse_bytes(data, fmt) == records
+
+
+def reference_serialize(records):
+    """posts.jsonl as the json module's encoder writes it, one dict per row."""
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    return "".join(encoder.encode(dict(
+        post_id=r.post_id, thread_id=r.thread_id, user_id=r.user_id,
+        created_at=ingest.format_timestamp(r.created_at), body=r.body)) + "\n"
+        for r in records).encode("utf-8")
+
+
+# quotes, backslashes, control characters, DEL, the JSON-legal line separators
+# U+2028/U+2029, non-BMP characters, and any other text
+_awkward_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\r", "\t", "\b", "\x7f", "\u2028",
+                     "\u2029", "\U0001F600", "\U0010FFFF", "é", "/"]),
+    st.characters(blacklist_categories=("Cs",))), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(PostRecord, post_id=_awkward_text, thread_id=_awkward_text,
+                          user_id=_awkward_text, created_at=_created_at, body=_awkward_text),
+                max_size=4))
+def test_serialize_equals_the_json_encoder(records):
+    assert ingest.serialize_posts(records) == reference_serialize(records)
 
 
 class TestCorpusStats:
