@@ -185,14 +185,18 @@ def _read(path, producer, parse, *args, error=ParseError):
 
 
 def _write(path, data):
-    """Write data, bytes or text, to path; a dict becomes JSON with sorted keys."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write data, bytes or text, to path; a dict becomes JSON with sorted keys. A path
+    that cannot be written is a ConfigError naming it: the output directory is a setting."""
     if isinstance(data, dict):
         data = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if isinstance(data, bytes):
-        path.write_bytes(data)
-    else:
-        path.write_text(data, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,9 @@ def edges_csv(graphs):
 
 
 def graphs_from_csv(fh, windows):
-    """Inverse of edges_csv: one graph per window, empty where no row names it."""
+    """Inverse of edges_csv: one graph per window, empty where no row names it. An
+    edge row that edges_csv never writes, a self-loop, a pair out of order or a pair
+    repeated in its snapshot, is a ParseError."""
     nodes = [set() for _ in windows]
     edges = [{} for _ in windows]
     reader = csv.reader(fh)
@@ -150,6 +152,10 @@ def graphs_from_csv(fh, windows):
                              f"outside the {len(windows)} configured windows")
         nodes[k].add(a)
         if b:
+            if not a < b or (a, b) in edges[k]:
+                raise ParseError(f"edge row at line {reader.line_num} must name two users "
+                                 "in order, user_a < user_b, and a pair not listed before "
+                                 "in its snapshot")
             nodes[k].add(b)
             edges[k][(a, b)] = weight
     return [InteractionGraph(snapshot_index=w.index, nodes=frozenset(n), edges=e)

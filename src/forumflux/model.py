@@ -4,11 +4,9 @@ Each fit minimizes the L2-regularized mean negative log-likelihood by Newton's
 method from zero initialization until it has converged, so a trained model is
 the minimum, a pure function of its inputs; l2_lambda > 0 makes it unique. A
 masked weight stays exactly 0, and the loss is computed once per fit, at the
-end. The presets of a CV repeat share its split and normalization, and every
-repeat trains on the same number of rows, so the repeats stack: a weight matrix
-per repeat with a row per preset, in blocks of at most _BLOCK_ELEMENTS training
-values, so memory stays bounded however many repeats there are. A block's fits
-are scored together, with one stacked product per split.
+end. The presets of a CV repeat share its split and normalization: each repeat
+trains one weight matrix, a row per preset, on its training rows, and scores it
+on its test rows.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .errors import ConfigError, ParseError, TrainingError
 from .featureset import FEATURE_NAMES, N_FEATURES
 
 _IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-_BLOCK_ELEMENTS = 1 << 18
 _METRICS = ("precision", "recall", "f_measure", "train_accuracy")  # each with a mean and a std
 
 
@@ -79,54 +76,50 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
 
 
 def train(X, y, masks, hyper=Hyper()):
-    """Newton's method from zero init for each mask on each of a stack of training
-    sets, X of shape (r, m, d) and y of shape (r, m). Returns the weight stack W,
-    of shape (r, k, d) for k masks, and the biases b, of shape (r, k). A fit steps
-    until no weight or bias moves by 1e-10 or more; a fit still moving after
-    hyper.epochs steps raises TrainingError."""
+    """Newton's method from zero init for each mask on one training set, X of shape
+    (m, d) and y of shape (m,). Returns the weights W, of shape (k, d) for k masks,
+    and the biases b, of shape (k,). A fit steps until no weight or bias moves by
+    1e-10 or more; a fit still moving after hyper.epochs steps raises TrainingError."""
     M = np.array(masks, dtype=bool)
-    for labels in y:
-        pos = int((labels == 1).sum())
-        neg = int((labels == 0).sum())
-        if pos == 0 or neg == 0:
-            raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
-    r, m, d = X.shape
+    pos = int((y == 1).sum())
+    neg = int((y == 0).sum())
+    if pos == 0 or neg == 0:
+        raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
+    m, d = X.shape
     lam = hyper.l2_lambda
-    W = np.zeros((r,) + M.shape)
-    b = np.zeros((r, len(M)))
+    W = np.zeros(M.shape)
+    b = np.zeros(len(M))
     # H and g: m times a fit's Hessian and gradient over its weights and bias. A masked
     # weight keeps only the l2 term of its H row and column and has g 0: its step is 0.
     keep = np.c_[M, np.ones(len(M), dtype=bool)]
     l2 = np.diag(np.r_[np.full(d, lam), 0.0])
     H = np.empty((d + 1, d + 1))
-    weighted = np.empty((d, m))  # the rows of a set, transposed, times p (1 - p)
+    weighted = np.empty((d, m))  # the rows, transposed, times p (1 - p)
     with np.errstate(over="ignore"):  # exp overflows to inf where p is 0
-        for i, j in np.ndindex(b.shape):
-            x, w = X[i], W[i, j]
+        for j, w in enumerate(W):
             for _ in range(hyper.epochs):
-                p = 1.0 / (1.0 + np.exp(-(x @ w + b[i, j])))
+                p = 1.0 / (1.0 + np.exp(-(X @ w + b[j])))
                 s = p * (1.0 - p)
-                np.multiply(x.T, s, out=weighted)
-                H[:d, :d] = weighted @ x
+                np.multiply(X.T, s, out=weighted)
+                H[:d, :d] = weighted @ X
                 H[:d, d] = H[d, :d] = weighted.sum(axis=1)
                 H[d, d] = s.sum()
                 H *= keep[j, :, None] & keep[j]
-                err = p - y[i]
-                g = np.r_[x.T @ err + lam * w, err.sum()] * keep[j]
+                err = p - y
+                g = np.r_[X.T @ err + lam * w, err.sum()] * keep[j]
                 try:
                     step = np.linalg.solve(H + l2, g)
                 except np.linalg.LinAlgError:  # p (1 - p) is 0 on every row, and lam too small
                     raise TrainingError(f"a Hessian is singular at l2_lambda = {lam}; "
                                         "raise l2_lambda") from None
                 w -= step[:d]
-                b[i, j] -= step[d]
+                b[j] -= step[d]
                 if np.abs(step).max() < 1e-10:
                     break
             else:
                 raise TrainingError(f"a fit did not converge within epochs = {hyper.epochs} "
                                     "Newton steps; raise epochs or l2_lambda")
-        losses = [loss_and_gradient(w, bias, Xs, ys, lam)[0]
-                  for Ws, bs, Xs, ys in zip(W, b, X, y) for w, bias in zip(Ws, bs)]
+        losses = [loss_and_gradient(w, bias, X, y, lam)[0] for w, bias in zip(W, b)]
     if not np.isfinite(losses).all():
         raise TrainingError(f"final losses {losses} are not all finite")
     return W, b
@@ -138,20 +131,20 @@ def _ratio(num, den):
 
 
 def _score(W, b, X, y):
-    """Precision, recall, F and accuracy, each of shape (r, k), of the predictions
-    1 / (1 + exp(-z)) >= 0.5 of the stack W (r, k, d), b (r, k) on the sets X
-    (r, n, d) with 0/1 labels y (r, n); a zero denominator gives 0."""
-    p = np.matmul(W, X.transpose(0, 2, 1))  # z, then P in place: one (r, k, n) array
-    p += b[..., None]
+    """Precision, recall, F and accuracy, each of shape (k,), of the predictions
+    1 / (1 + exp(-z)) >= 0.5 of the fits W (k, d), b (k,) on the rows X (n, d)
+    with 0/1 labels y (n,); a zero denominator gives 0."""
+    p = W @ X.T  # z, then P in place: one (k, n) array
+    p += b[:, None]
     np.exp(np.negative(p, out=p), out=p)
     p += 1.0
     pred = np.divide(1.0, p, out=p) >= 0.5
-    pos = (y == 1)[:, None, :]
+    pos = y == 1
     tp = (pred & pos).sum(axis=-1)
     precision = _ratio(tp, pred.sum(axis=-1))
-    recall = _ratio(tp, pos.sum(axis=-1))
+    recall = _ratio(tp, pos.sum())
     f_measure = _ratio(2 * precision * recall, precision + recall)
-    return precision, recall, f_measure, (pred == pos).sum(axis=-1) / y.shape[1]
+    return precision, recall, f_measure, (pred == pos).sum(axis=-1) / len(y)
 
 
 def _stratified_split(y, train_fraction, rng):
@@ -191,25 +184,6 @@ def _draw_splits(y, repeats, train_fraction, seed, balance):
     return splits
 
 
-def _stack(X, y, block, part):
-    """The normalized rows and the labels of split part (0 train, 1 test) of each
-    repeat of the block, as (r, n, d) and (r, n) stacks."""
-    X_part = np.empty((len(block), len(block[0][part]), X.shape[1]))
-    for Xs, split in zip(X_part, block):
-        Xs[...] = normalize_apply(split[2], X[split[part]])  # one repeat's temporaries at a time
-    return X_part, np.stack([y[split[part]] for split in block])
-
-
-def _cv_block(X, y, block, masks, hyper):
-    """Test precision, recall and F and train accuracy, each of shape (repeats of
-    the block, masks)."""
-    X_train, y_train = _stack(X, y, block, 0)
-    W, b = train(X_train, y_train, masks, hyper)
-    accuracy = _score(W, b, X_train, y_train)[3]
-    del X_train  # freed before the test rows are stacked, so peak memory stays that of train
-    return (*_score(W, b, *_stack(X, y, block, 1))[:3], accuracy)
-
-
 def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
                    seed=0, balance=False):
     """Repeated stratified random splits; per preset, the report that stage_train writes
@@ -219,22 +193,21 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     repeats >= 1 and 0 < train_fraction < 1, as load_config checks. Each repeat derives its own
     generator from (seed, repeat index), so the reports are identical under any evaluation
     order, and all presets share each repeat's split and normalization. Every split holds both
-    classes on its first draw. The repeats train in blocks, and each block is scored in one
-    pass.
+    classes on its first draw.
     """
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
-    splits = [(train_idx, test_idx, normalize_fit(X[train_idx]))
-              for train_idx, test_idx in _draw_splits(y, repeats, train_fraction, seed,
-                                                      balance)]
-    # Every repeat trains and tests on the same numbers of rows, so the repeats
-    # stack: the stratified sizes depend only on the class counts, and
-    # downsampling keeps 2 * min of the training rows.
-    per_block = max(1, _BLOCK_ELEMENTS // (len(splits[0][0]) * X.shape[1]))
     masks = [p.feature_mask for p in presets]
-    blocks = [_cv_block(X, y, splits[start:start + per_block], masks, hyper)
-              for start in range(0, repeats, per_block)]
-    scores = [np.concatenate(metric) for metric in zip(*blocks)]  # each (repeats, presets)
+    scores = []
+    for train_idx, test_idx in _draw_splits(y, repeats, train_fraction, seed, balance):
+        X_train, y_train = X[train_idx], y[train_idx]
+        stats = normalize_fit(X_train)
+        X_train = normalize_apply(stats, X_train)
+        W, b = train(X_train, y_train, masks, hyper)
+        accuracy = _score(W, b, X_train, y_train)[3]
+        test = _score(W, b, normalize_apply(stats, X[test_idx]), y[test_idx])
+        scores.append((*test[:3], accuracy))
+    scores = [np.array(metric) for metric in zip(*scores)]  # each (repeats, presets)
     reports = []
     for j, preset in enumerate(presets):
         # one column at a time: a sum over axis 0 adds in another order

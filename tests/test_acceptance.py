@@ -155,9 +155,9 @@ def test_criterion_7_separable_data():
         w_true = rng.normal(size=18)
         y = (X @ w_true > 0).astype(np.float64)
         stats = model.normalize_fit(X)
-        X = model.normalize_apply(stats, X)[None]
-        W, b = model.train(X, y[None], [np.ones(18, bool)])
-        f_measure = float(model._score(W, b, X, y[None])[2][0, 0])
+        X = model.normalize_apply(stats, X)
+        W, b = model.train(X, y, [np.ones(18, bool)])
+        f_measure = float(model._score(W, b, X, y)[2][0])
         assert f_measure >= 0.95
     assert t.elapsed < 5.0
     report(7, f"separable data reaches F={f_measure:.3f} >= 0.95", t)

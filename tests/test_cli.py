@@ -329,6 +329,22 @@ def test_artifact_that_is_a_directory_exits_2(built_tree, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("command, out, prefix", [("run", "taken", "stage ingest: "),
+                                                  ("ingest", "taken/sub", "")])
+def test_unwritable_output_exits_1_naming_it(built_tree, tmp_path, command, out, prefix):
+    """An --out that is a file, or lies under one, is reported like a file that cannot be
+    read: one line naming the path, not a traceback."""
+    (tmp_path / "taken").write_text("kept\n")
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text(SYNTH_CFG + f"input = {built_tree[1] / 'posts.jsonl'}\n")
+    done = run_module("--config", str(cfg), "--out", str(tmp_path / out), "--quiet", command)
+    assert done.returncode == 1
+    assert done.stderr.startswith(
+        f"error: {prefix}cannot write {tmp_path / out / 'posts.jsonl'}: "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 def write_corpus(out, posts):
     out.mkdir(parents=True, exist_ok=True)
     (out / "posts.jsonl").write_bytes(ingest.serialize_posts(posts))

@@ -435,3 +435,15 @@ def test_edges_csv_row_outside_windows_rejected():
     text = "snapshot_index,user_a,user_b,weight\n1,a,b,1\n"
     with pytest.raises(ParseError, match="outside the 1 configured windows"):
         graphs_from_csv(io.StringIO(text, newline=""), windows)
+
+
+@pytest.mark.parametrize("rows, line", [("0,a,a,1", 2), ("0,b,a,1", 2), ("0,a,b,1\n0,a,b,2", 3)],
+                         ids=["self-loop", "reversed pair", "repeated pair"])
+def test_edges_csv_row_that_edges_csv_never_writes_rejected(rows, line):
+    windows = build_windows(T0, T0 + timedelta(days=1), 1)
+    header = "snapshot_index,user_a,user_b,weight\n"
+    # the same pair in another snapshot is a row edges_csv writes
+    graphs = graphs_from_csv(io.StringIO(header + "0,a,b,1\n1,a,b,1\n", newline=""), windows)
+    assert [g.edges for g in graphs] == [{("a", "b"): 1}] * 2
+    with pytest.raises(ParseError, match=rf"edge row at line {line} must name two users in order"):
+        graphs_from_csv(io.StringIO(header + rows + "\n", newline=""), windows)

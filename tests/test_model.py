@@ -53,7 +53,7 @@ def proba(w, bias, X):
 
 def evaluate(w, bias, X, y):
     """One fit's precision/recall/F/accuracy at threshold 0.5, zero-denominator
-    safe: the scorer before the fits of a CV block were scored together."""
+    safe: the reference that model._score must equal for each row of its fits."""
     pred = (proba(w, bias, X) >= 0.5).astype(np.int64)
     tp = int(((pred == 1) & (y == 1)).sum())
     fp = int(((pred == 1) & (y == 0)).sum())
@@ -134,31 +134,31 @@ class TestTrain:
     def test_one_dimensional_separable(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
-        W, b = train(X[None], y[None], [full_mask(1)])
-        assert (proba(W[0, 0], b[0, 0], X) >= 0.5).tolist() == [False, True]
+        W, b = train(X, y, [full_mask(1)])
+        assert (proba(W[0], b[0], X) >= 0.5).tolist() == [False, True]
 
     def test_large_l2_shrinks_weights(self):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, n=100)
-        W, b = train(X[None], y[None], [full_mask()], hyper=Hyper(l2_lambda=1e5))
+        W, b = train(X, y, [full_mask()], hyper=Hyper(l2_lambda=1e5))
         assert np.all(np.abs(W) < 1e-2)
-        assert np.all(np.abs(proba(W[0, 0], b[0, 0], X) - 0.5) < 0.1)
+        assert np.all(np.abs(proba(W[0], b[0], X) - 0.5) < 0.1)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            train(np.ones((1, 3, 2)), np.ones((1, 3)), [full_mask(2)])
+            train(np.ones((3, 2)), np.ones(3), [full_mask(2)])
 
     def test_a_fit_that_has_not_converged_by_the_step_cap_raises(self):
         rng = np.random.default_rng(19)
         X, y = separable_data(rng, n=60)
         with pytest.raises(TrainingError, match=r"within epochs = 1 Newton steps"):
-            train(X[None], y[None], [full_mask()], Hyper(epochs=1))
+            train(X, y, [full_mask()], Hyper(epochs=1))
         # separable rows: the smaller l2_lambda, the larger the weights and the more steps
         with pytest.raises(TrainingError, match=r"within epochs = 500 Newton steps"):
-            train(X[None], y[None], [full_mask()], Hyper(l2_lambda=1e-12))
+            train(X, y, [full_mask()], Hyper(l2_lambda=1e-12))
         with pytest.raises(TrainingError, match=r"a Hessian is singular at l2_lambda = 1e-100"):
-            train(X[None], y[None], [full_mask()], Hyper(l2_lambda=1e-100))
-        W, _ = train(X[None], y[None], [full_mask()], Hyper(l2_lambda=1e-6))
+            train(X, y, [full_mask()], Hyper(l2_lambda=1e-100))
+        W, _ = train(X, y, [full_mask()], Hyper(l2_lambda=1e-6))
         assert np.abs(W).max() > 10.0
 
     @pytest.mark.parametrize("fields", [{"epochs": 0}, {"l2_lambda": 0.0},
@@ -172,18 +172,18 @@ class TestTrain:
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[::2] = False
-        W, _ = train(X[None], y[None], [mask])
-        assert np.all(W[0, 0, ~mask] == 0.0)
+        W, _ = train(X, y, [mask])
+        assert np.all(W[0, ~mask] == 0.0)
 
     def test_mask_equals_physical_reduction(self):
         rng = np.random.default_rng(4)
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[[0, 5, 17]] = False
-        W, b = train(X[None], y[None], [mask])
-        W_reduced, b_reduced = train(X[None, :, mask], y[None], [full_mask(int(mask.sum()))])
-        p1 = proba(W[0, 0], b[0, 0], X)
-        p2 = proba(W_reduced[0, 0], b_reduced[0, 0], X[:, mask])
+        W, b = train(X, y, [mask])
+        W_reduced, b_reduced = train(X[:, mask], y, [full_mask(int(mask.sum()))])
+        p1 = proba(W[0], b[0], X)
+        p2 = proba(W_reduced[0], b_reduced[0], X[:, mask])
         assert np.max(np.abs(p1 - p2)) < 1e-12
 
 
@@ -200,8 +200,8 @@ class TestOptimum:
             y[:2] = [0.0, 1.0]
             X = normalize_apply(normalize_fit(X), X)
             masks, lam = random_masks(rng, 3), float(10.0 ** rng.uniform(-4, 1))
-            W, b = train(X[None], y[None], masks, Hyper(l2_lambda=lam))
-            for mask, w, bias in zip(masks, W[0], b[0]):
+            W, b = train(X, y, masks, Hyper(l2_lambda=lam))
+            for mask, w, bias in zip(masks, W, b):
                 assert np.all(w[~mask] == 0.0)
                 _, grad_w, grad_b = loss_and_gradient(w[mask], bias, X[:, mask], y, lam)
                 assert max(np.abs(grad_w).max(), abs(grad_b)) < 1e-8
@@ -218,8 +218,8 @@ class TestOptimum:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(80, N_FEATURES))
         y = (X[:, 0] + rng.normal(scale=1.5, size=80) > 0).astype(np.float64)
-        W, b = train(X[None], y[None], [full_mask()])
-        newton = np.r_[W[0, 0], b[0, 0]]
+        W, b = train(X, y, [full_mask()])
+        newton = np.r_[W[0], b[0]]
         w, bias, gaps = np.zeros(N_FEATURES), 0.0, []
         for epoch in range(1, 20001):
             _, grad_w, grad_b = loss_and_gradient(w, bias, X, y, Hyper().l2_lambda)
@@ -232,9 +232,8 @@ class TestOptimum:
 
 
 class TestStackedTrain:
-    """The sets of one call train as a stack of weight matrices, and the masks
-    of a set as the rows of its matrix; each row must be the fit that
-    training its mask on its set alone gives."""
+    """The masks of one call train as the rows of one weight matrix; each row
+    must be the fit that training its mask on the set alone gives."""
 
     def test_rows_match_reference_through_cv(self, monkeypatch):
         calls = []
@@ -255,54 +254,16 @@ class TestStackedTrain:
                        for i, mask in enumerate(random_masks(rng, 5))]
             hyper = Hyper(epochs=60, l2_lambda=float(10.0 ** rng.uniform(-4, 1)))
             monte_carlo_cv(X, y, presets, repeats=3, hyper=hyper, seed=3, balance=balance)
-        assert sum(len(X) for X, *_ in calls) == 6
-        for X_stack, y_stack, masks, hyper, (W_stack, b_stack) in calls:
-            assert W_stack.shape == (len(X_stack), len(masks), N_FEATURES)
-            assert b_stack.shape == (len(X_stack), len(masks))
-            for X, y, W, b in zip(X_stack, y_stack, W_stack, b_stack):
-                np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=1e-12)  # z-scored rows
-                np.testing.assert_allclose(X.std(axis=0), 1.0, rtol=1e-12)
-                for mask, w_fit, b_fit in zip(masks, W, b):
-                    w, bias = reference_train(X, y, mask, hyper)
-                    np.testing.assert_allclose(w_fit, w, rtol=1e-10, atol=1e-10)
-                    assert b_fit == pytest.approx(bias, rel=1e-10, abs=1e-10)
-
-    def test_stack_equals_one_set_at_a_time_bitwise(self):
-        rng = np.random.default_rng(16)
-        X = rng.normal(size=(4, 70, N_FEATURES))
-        y = (X[..., 0] + rng.normal(scale=2.0, size=(4, 70)) > 0).astype(np.float64)
-        masks = random_masks(rng, 5)
-        hyper = Hyper(epochs=80)
-        W, b = train(X, y, masks, hyper)
-        assert len(W) == 4
-        for X_set, y_set, W_set, b_set in zip(X, y, W, b):
-            W_alone, b_alone = train(X_set[None], y_set[None], masks, hyper)
-            assert np.array_equal(W_set, W_alone[0])
-            assert np.array_equal(b_set, b_alone[0])
-
-    @pytest.mark.parametrize("balance", [False, True])
-    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, balance):
-        rng = np.random.default_rng(17)
-        X, y = separable_data(rng, n=90)
-        X += rng.normal(scale=3.0, size=X.shape)  # predictions near 0.5
-        y[:20] = 0.0
-        presets = table2_presets()
-        one_block = monte_carlo_cv(X, y, presets, repeats=5, seed=2, balance=balance)
-        m = len(model._draw_splits(y, 1, 0.7, 2, balance)[0][0])
-        real_train = model.train
-        for block_elements, sets_per_call in ((1, [1] * 5), (2 * m * N_FEATURES, [2, 2, 1])):
-            calls = []
-            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block_elements)
-            monkeypatch.setattr(model, "train",
-                                lambda X, *a: calls.append(len(X)) or real_train(X, *a))
-            assert monte_carlo_cv(X, y, presets, repeats=5, seed=2, balance=balance) == one_block
-            assert calls == sets_per_call
-
-    def test_a_single_class_set_in_the_stack_raises(self):
-        X = np.ones((2, 4, 2))
-        y = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
-        with pytest.raises(TrainingError):
-            train(X, y, [full_mask(2)])
+        assert len(calls) == 6  # one call per repeat
+        for X, y, masks, hyper, (W, b) in calls:
+            assert X.shape == (len(y), N_FEATURES)
+            assert W.shape == (len(masks), N_FEATURES) and b.shape == (len(masks),)
+            np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=1e-12)  # z-scored rows
+            np.testing.assert_allclose(X.std(axis=0), 1.0, rtol=1e-12)
+            for mask, w_fit, b_fit in zip(masks, W, b):
+                w, bias = reference_train(X, y, mask, hyper)
+                np.testing.assert_allclose(w_fit, w, rtol=1e-10, atol=1e-10)
+                assert b_fit == pytest.approx(bias, rel=1e-10, abs=1e-10)
 
     def test_each_report_equals_its_single_preset_run(self):
         rng = np.random.default_rng(12)
@@ -321,8 +282,8 @@ class TestStackedTrain:
         for _ in range(5):
             X, y = separable_data(rng, n=80)
             masks = random_masks(rng, int(rng.integers(2, 8)))
-            W, _ = train(X[None], y[None], masks, Hyper(epochs=50))
-            for mask, w in zip(masks, W[0]):
+            W, _ = train(X, y, masks, Hyper(epochs=50))
+            for mask, w in zip(masks, W):
                 assert np.all(w[~mask] == 0.0)
                 assert np.all(np.isfinite(w))
 
@@ -333,20 +294,16 @@ class TestStackedTrain:
                             lambda *a: calls.append(a) or real(*a))
         rng = np.random.default_rng(14)
         X, y = separable_data(rng, n=50)
-        train(X[None], y[None], random_masks(rng, 3), Hyper(epochs=40))
+        train(X, y, random_masks(rng, 3), Hyper(epochs=40))
         assert len(calls) == 3
-        calls.clear()
-        X_stack = np.stack([X, X[::-1]])
-        train(X_stack, np.stack([y, y[::-1]]), random_masks(rng, 3), Hyper(epochs=40))
-        assert [np.array_equal(X_set, X_stack[i // 3]) for i, (_, _, X_set, _, _)
-                in enumerate(calls)] == [True] * 6
+        assert all(X_set is X and y_set is y for _, _, X_set, y_set, _ in calls)
 
     def test_non_finite_final_loss_raises(self, monkeypatch):
         monkeypatch.setattr(model, "loss_and_gradient",
                             lambda w, b, X, y, lam: (float("nan"), w, b))
         X, y = separable_data(np.random.default_rng(15), n=30)
         with pytest.raises(TrainingError, match="final losses"):
-            train(X[None], y[None], [full_mask()])
+            train(X, y, [full_mask()])
 
 
 labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=60).filter(
@@ -357,8 +314,8 @@ labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=60).filter(
 @given(labels, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        st.integers(0, 2**32 - 1), st.booleans())
 def test_every_split_holds_both_classes_and_one_train_size(y, train_fraction, seed, balance):
-    """The repeats stack only because every split draws both classes and the
-    same number of training rows on its first draw."""
+    """Every split draws both classes on its first draw, so none is redrawn, and
+    every repeat trains on the same number of rows."""
     y = np.array(y)
     splits = model._draw_splits(y, 6, train_fraction, seed, balance)
     for train_idx, test_idx in splits:
@@ -370,16 +327,15 @@ def test_every_split_holds_both_classes_and_one_train_size(y, train_fraction, se
 
 def score_one(w, bias, X, y):
     """model._score of a single fit: (precision, recall, F, accuracy)."""
-    return tuple(float(v[0, 0]) for v in model._score(w[None, None], np.array([[bias]]),
-                                                      X[None], y[None]))
+    return tuple(float(v[0]) for v in model._score(w[None], np.array([bias]), X, y))
 
 
 class TestScore:
     def test_perfect_predictions(self):
         X = np.array([[-2.0], [2.0]])
         y = np.array([0.0, 1.0])
-        W, b = train(X[None], y[None], [full_mask(1)])
-        assert score_one(W[0, 0], b[0, 0], X, y) == (1.0, 1.0, 1.0, 1.0)
+        W, b = train(X, y, [full_mask(1)])
+        assert score_one(W[0], b[0], X, y) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_negative_predictions(self):
         metrics = score_one(np.zeros(1), -10.0, np.ones((4, 1)), np.array([1.0, 1.0, 0.0, 0.0]))
@@ -395,27 +351,26 @@ class TestScore:
         assert f_measure == pytest.approx(4 / 7)
         assert accuracy == pytest.approx(3 / 6)
 
-    def test_stack_equals_per_fit_reference_exactly(self):
+    def test_score_equals_per_fit_reference_exactly(self):
         rng = np.random.default_rng(20)
-        for _ in range(30):
-            r, k, n, d = (int(v) for v in rng.integers([1, 2, 2, 1], [5, 7, 40, 6]))
-            W = rng.normal(size=(r, k, d)) * (rng.random((r, k, 1)) < 0.7)  # some rows all 0
-            b = rng.normal(size=(r, k))
-            W[:, :2] = 0.0
-            b[:, 0] = -50.0  # row 0 predicts no positive: precision 0 by the zero rule
-            b[:, 1] = 0.0    # row 1 has P exactly 0.5 on every row: all positive
-            X = rng.normal(size=(r, n, d))
-            y = (rng.random((r, n)) < rng.uniform(0.1, 0.9)).astype(np.float64)
+        for _ in range(80):
+            k, n, d = (int(v) for v in rng.integers([2, 2, 1], [7, 40, 6]))
+            W = rng.normal(size=(k, d)) * (rng.random((k, 1)) < 0.7)  # some rows all 0
+            b = rng.normal(size=k)
+            W[:2] = 0.0
+            b[0] = -50.0  # row 0 predicts no positive: precision 0 by the zero rule
+            b[1] = 0.0    # row 1 has P exactly 0.5 on every row: all positive
+            X = rng.normal(size=(n, d))
+            y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.float64)
             scored = model._score(W, b, X, y)
-            assert all(v.shape == (r, k) for v in scored)
-            for i in range(r):
-                for j in range(k):
-                    ref = evaluate(W[i, j], b[i, j], X[i], y[i])
-                    assert [v[i, j] for v in scored] == [
-                        ref["precision"], ref["recall"], ref["f_measure"], ref["accuracy"]]
-            assert np.all(scored[0][:, 0] == 0.0)
-            assert np.all(scored[1][:, 1][y.sum(axis=1) > 0] == 1.0)
-            assert np.array_equal(scored[3][:, 1], y.mean(axis=1))
+            assert all(v.shape == (k,) for v in scored)
+            for j in range(k):
+                ref = evaluate(W[j], b[j], X, y)
+                assert [v[j] for v in scored] == [
+                    ref["precision"], ref["recall"], ref["f_measure"], ref["accuracy"]]
+            assert scored[0][0] == 0.0
+            assert scored[1][1] == (1.0 if y.any() else 0.0)  # recall 0 with no positive
+            assert scored[3][1] == y.mean()
 
 
 class TestMonteCarloCV:
