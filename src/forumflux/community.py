@@ -8,7 +8,8 @@ whose P >= beta; the diagonal stays clear. A pair that is neither adjacent
 nor shares a neighbor has P = 0 and, since beta > alpha >= 0, is never
 inserted. The update is synchronous, so results do not depend on any pair
 order. Communities are the connected components of the final matrix, over
-the nodes in `graph.node_index` order, filtered by a minimum size.
+the graph's node numbering (ascending user id), filtered by a minimum size.
+Modularity labels each node with its community and sums array terms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph as graph_mod
 from .errors import ConfigError, ForumFluxError, ParseError
 
 COMMUNITY_COLUMNS = ["snapshot_index", "community_id", "user_id"]
@@ -66,9 +66,9 @@ def detect_communities(graph, config=PropinquityConfig()):
     exact for counts below 2**24. Community ids are assigned in ascending
     order of smallest member user_id.
     """
-    order, rows, cols = graph_mod.node_index(graph)
+    order = list(graph.nodes)
     adj = np.zeros((len(order), len(order)), dtype=bool)
-    adj[rows, cols] = True
+    adj[np.repeat(np.arange(len(order)), np.diff(graph.indptr)), graph.indices] = True
     seen_topologies = {np.packbits(adj).tobytes()}
     for _ in range(config.max_iterations):
         a = adj.astype(np.float32)
@@ -98,40 +98,29 @@ def detect_communities(graph, config=PropinquityConfig()):
 def modularity(graph, communities):
     """Newman-Girvan Q = sum_i (e_ii - a_i^2) on the unweighted graph.
 
-    Nodes outside every community count as singleton communities; a graph
-    with no edges scores 0. Overlapping communities are rejected.
+    Nodes outside every community count as singleton communities, in ascending
+    order after the communities; a graph with no edges scores 0. Overlapping
+    communities are rejected. The terms are summed left to right.
     """
-    covered = set()
-    for comm in communities:
-        if comm.members & covered:
+    label = np.full(len(graph.nodes), -1)
+    for i, comm in enumerate(communities):
+        at = [graph.nodes[u] for u in comm.members if u in graph.nodes]
+        if (label[at] >= 0).any():
             raise ForumFluxError("overlapping communities are not allowed in modularity")
-        if not comm.members <= graph.nodes:
+        if len(at) < len(comm.members):
             raise ForumFluxError("community members must be nodes of the graph")
-        covered |= comm.members
-    m = len(graph.edges)
+        label[at] = i
+    m = graph.indices.size // 2
     if m == 0:
         return 0.0
-    assign = {}
-    for i, comm in enumerate(communities):
-        for u in comm.members:
-            assign[u] = i
-    next_id = len(communities)
-    for u in sorted(graph.nodes - covered):
-        assign[u] = next_id
-        next_id += 1
-    intra = [0] * next_id
-    endpoints = [0] * next_id
-    for (a, b) in graph.edges:
-        if assign[a] == assign[b]:
-            intra[assign[a]] += 1
-        endpoints[assign[a]] += 1
-        endpoints[assign[b]] += 1
-    q = 0.0
-    for i in range(next_id):
-        e_ii = intra[i] / m
-        a_i = endpoints[i] / (2 * m)
-        q += e_ii - a_i * a_i
-    return q
+    uncovered = label < 0
+    label[uncovered] = len(communities) + np.arange(uncovered.sum())
+    src = label[np.repeat(np.arange(label.size), np.diff(graph.indptr))]  # each edge both ways
+    dst = label[graph.indices]
+    k = len(communities) + uncovered.sum()
+    intra = np.bincount(src[src == dst], minlength=k) // 2
+    a = np.bincount(src, minlength=k) / (2 * m)
+    return float(np.cumsum(intra / m - a * a)[-1])
 
 
 def communities_csv(communities):

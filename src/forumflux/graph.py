@@ -4,15 +4,16 @@ Every post maps to exactly one fixed-width window counted from the corpus
 first post; `posts_by_window` buckets posts, and a post outside the calendar
 is an error. Within a window, two users are connected iff they posted in at
 least one common thread; the edge weight is the number of distinct shared
-threads. `node_index` numbers the sorted nodes for both numpy kernels:
-centrality (on the unweighted graph) and propinquity dynamics.
+threads. Each graph numbers its nodes in ascending order and holds the CSR
+adjacency over those numbers, which both numpy kernels read: centrality (on the
+unweighted graph) and propinquity dynamics.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import combinations
 
@@ -34,9 +35,28 @@ class SnapshotWindow:
 
 @dataclass(frozen=True)
 class InteractionGraph:
+    """One window's graph. Built from any iterable of user ids, `nodes` becomes
+    user_id -> index, numbered in ascending user id order. `edges` maps
+    (user_a, user_b), user_a < user_b, to the number of shared threads: that
+    weight is written by `edges_csv` but read by no computation. `indptr` and
+    `indices` are the CSR adjacency over the node indices, each edge listed both
+    ways and each node's neighbours in ascending order."""
+
     snapshot_index: int
-    nodes: frozenset        # of user_id
-    edges: dict             # (user_a, user_b) with user_a < user_b -> weight
+    nodes: dict
+    edges: dict
+    indptr: np.ndarray = field(init=False, compare=False, repr=False)
+    indices: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {u: i for i, u in enumerate(sorted(self.nodes))}
+        ends = np.fromiter((index[u] for pair in self.edges for u in pair), dtype=np.int64,
+                           count=2 * len(self.edges)).reshape(-1, 2)
+        rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+        object.__setattr__(self, "nodes", index)
+        object.__setattr__(self, "indptr", np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=len(index)))]))
+        object.__setattr__(self, "indices", cols[np.lexsort((cols, rows))])
 
 
 def build_windows(first_post, last_post, window_days):
@@ -67,7 +87,7 @@ def build_graph(posts, window):
     for users in thread_users.values():
         for a, b in combinations(sorted(users), 2):
             edges[(a, b)] = edges.get((a, b), 0) + 1
-    return InteractionGraph(snapshot_index=window.index, nodes=frozenset(nodes), edges=edges)
+    return InteractionGraph(snapshot_index=window.index, nodes=nodes, edges=edges)
 
 
 def posts_by_window(posts, windows):
@@ -93,28 +113,10 @@ def window_graphs(posts, windows):
     return [build_graph(bucket, w) for bucket, w in zip(posts_by_window(posts, windows), windows)]
 
 
-def node_index(graph):
-    """(sorted nodes, rows, cols): every edge in both directions as a pair of
-    indices into the sorted nodes, ordered by row and then column."""
-    order = sorted(graph.nodes)
-    index = {u: i for i, u in enumerate(order)}
-    ends = np.array([(index[a], index[b]) for a, b in graph.edges], dtype=np.int64).reshape(-1, 2)
-    rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
-    key = np.lexsort((cols, rows))
-    return order, rows[key], cols[key]
-
-
 def centrality_all(graph):
     """(closeness map, betweenness map) over every node of the graph."""
-    order, rows, cols = node_index(graph)
-    if not order:
-        return {}, {}
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(order)))])
-    closeness, betweenness = _kernels.centrality_csr(indptr, cols)
-    return (
-        {u: float(closeness[i]) for i, u in enumerate(order)},
-        {u: float(betweenness[i]) for i, u in enumerate(order)},
-    )
+    closeness, betweenness = _kernels.centrality_csr(graph.indptr, graph.indices)
+    return dict(zip(graph.nodes, closeness.tolist())), dict(zip(graph.nodes, betweenness.tolist()))
 
 
 def edges_csv(graphs):
@@ -127,16 +129,18 @@ def edges_csv(graphs):
     writer.writerow(EDGE_COLUMNS)
     for graph in sorted(graphs, key=lambda g: g.snapshot_index):
         rows = [(a, b, w) for (a, b), w in graph.edges.items()]
-        rows += [(u, "", 0) for u in graph.nodes.difference(*graph.edges)]
+        rows += [(u, "", 0) for u, d in zip(graph.nodes, np.diff(graph.indptr)) if d == 0]
         writer.writerows((graph.snapshot_index, *row) for row in sorted(rows))
     return buf.getvalue()
 
 
 def graphs_from_csv(fh, windows):
-    """Inverse of edges_csv: one graph per window, empty where no row names it. An
-    edge row that edges_csv never writes, a self-loop, a pair out of order or a pair
-    repeated in its snapshot, is a ParseError."""
-    nodes = [set() for _ in windows]
+    """Inverse of edges_csv: one graph per window, empty where no row names it. A row
+    edges_csv never writes is a ParseError: an edge row with a self-loop, a pair out of
+    order or repeated in its snapshot, a weight below 1 or a user of an isolated-node
+    row, and an isolated-node row of weight other than 0 or for a user named before."""
+    linked = [set() for _ in windows]
+    loners = [set() for _ in windows]
     edges = [{} for _ in windows]
     reader = csv.reader(fh)
     if next(reader, None) != EDGE_COLUMNS:
@@ -150,13 +154,19 @@ def graphs_from_csv(fh, windows):
         if not 0 <= k < len(windows):
             raise ParseError(f"edge row at line {reader.line_num} names snapshot {k}, "
                              f"outside the {len(windows)} configured windows")
-        nodes[k].add(a)
-        if b:
-            if not a < b or (a, b) in edges[k]:
-                raise ParseError(f"edge row at line {reader.line_num} must name two users "
-                                 "in order, user_a < user_b, and a pair not listed before "
-                                 "in its snapshot")
-            nodes[k].add(b)
+        if not b:
+            if weight != 0 or a in linked[k] or a in loners[k]:
+                raise ParseError(f"isolated-node row at line {reader.line_num} must have "
+                                 "weight 0 and name a user with no other row in its snapshot")
+            loners[k].add(a)
+        elif not a < b or (a, b) in edges[k] or weight < 1 or a in loners[k] or b in loners[k]:
+            raise ParseError(f"edge row at line {reader.line_num} must name two users in "
+                             "order, user_a < user_b, a pair not listed before in its "
+                             "snapshot, no user of an isolated-node row, and a weight of 1 "
+                             "or more")
+        else:
+            linked[k].add(a)
+            linked[k].add(b)
             edges[k][(a, b)] = weight
-    return [InteractionGraph(snapshot_index=w.index, nodes=frozenset(n), edges=e)
-            for w, n, e in zip(windows, nodes, edges)]
+    return [InteractionGraph(snapshot_index=w.index, nodes=users | lone, edges=e)
+            for w, users, lone, e in zip(windows, linked, loners, edges)]

@@ -20,9 +20,9 @@ from forumflux.evolution import Role, RoleLabel, Task, roles_csv, roles_from_csv
 from forumflux.errors import DegenerateDatasetError, ParseError
 from forumflux.featureset import (DATASET_COLUMNS, N_FEATURES, FeatureVector, LabeledExample,
                                   dataset_csv, dataset_from_csv)
-from forumflux.graph import InteractionGraph, build_windows, edges_csv, graphs_from_csv
+from forumflux.graph import build_windows, edges_csv, graphs_from_csv
 
-from conftest import T0
+from conftest import T0, make_graph
 
 user_ids = st.text(min_size=1, max_size=6).filter(lambda s: "\r" not in s)
 
@@ -35,7 +35,7 @@ def graph_lists(draw):
         pairs = list(combinations(nodes, 2))
         chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         edges = {pair: draw(st.integers(1, 9)) for pair in chosen}
-        graphs.append(InteractionGraph(snapshot_index=k, nodes=frozenset(nodes), edges=edges))
+        graphs.append(make_graph([(a, b, w) for (a, b), w in edges.items()], k, nodes))
     return graphs
 
 

@@ -77,6 +77,44 @@ def hub_graph(rng, n, n_hubs, p):
     return make_graph(edges, extra_nodes=nodes)
 
 
+def modularity_reference(graph, communities):
+    """Q by a loop over the edges: communities first, then each uncovered node in
+    ascending order, the terms added left to right."""
+    m = len(graph.edges)
+    if m == 0:
+        return 0.0
+    assign = {}
+    for i, comm in enumerate(communities):
+        for u in comm.members:
+            assign[u] = i
+    next_id = len(communities)
+    for u in sorted(graph.nodes.keys() - assign.keys()):
+        assign[u] = next_id
+        next_id += 1
+    intra = [0] * next_id
+    endpoints = [0] * next_id
+    for (a, b) in graph.edges:
+        if assign[a] == assign[b]:
+            intra[assign[a]] += 1
+        endpoints[assign[a]] += 1
+        endpoints[assign[b]] += 1
+    q = 0.0
+    for i in range(next_id):
+        e_ii = intra[i] / m
+        a_i = endpoints[i] / (2 * m)
+        q += e_ii - a_i * a_i
+    return q
+
+
+def random_partial_partition(rng, nodes):
+    """Communities over a random subset of nodes, in shuffled id order; some nodes stay
+    uncovered and some communities are empty."""
+    k = int(rng.integers(1, len(nodes) + 2))
+    assignment = rng.integers(-1, k, size=len(nodes))  # -1: uncovered
+    return [make_community([u for u, c in zip(nodes, assignment) if c == cid], cid)
+            for cid in rng.permutation(k).tolist()]
+
+
 def assert_matches_reference(graph, config):
     got = detect_communities(graph, config)
     assert [c.members for c in got] == propinquity_reference(graph, config)
@@ -140,7 +178,7 @@ class TestDetectCommunities:
             comms = detect_communities(g, PropinquityConfig(max_iterations=5))
             members = [u for c in comms for u in c.members]
             assert len(members) == len(set(members))  # disjoint
-            assert all(c.members <= g.nodes for c in comms)
+            assert all(c.members <= g.nodes.keys() for c in comms)
 
     def test_alpha_monotone_cut_at_first_step(self):
         # Raising alpha can only remove more edges in the first iteration.
@@ -321,12 +359,12 @@ class TestModularity:
 
     def test_overlap_rejected(self):
         g = make_graph(TWO_TRIANGLES_BRIDGE)
-        with pytest.raises(ForumFluxError):
+        with pytest.raises(ForumFluxError, match="^overlapping communities are not allowed"):
             modularity(g, [make_community("abc", 0), make_community("cde", 1)])
 
     def test_members_outside_graph_rejected(self):
         g = make_graph([("a", "b")])
-        with pytest.raises(ForumFluxError):
+        with pytest.raises(ForumFluxError, match="^community members must be nodes of the graph$"):
             modularity(g, [make_community("az")])
 
     def test_bounds_on_random_partitions(self):
@@ -345,6 +383,17 @@ class TestModularity:
                     comms.append(make_community(members, cid))
             q = modularity(g, comms)
             assert -0.5 <= q <= 1.0
+
+    def test_matches_edge_loop_reference_exactly(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            nodes = [f"n{i:02d}" for i in rng.permutation(n)]
+            edges = [(a, b) for a, b in combinations(nodes, 2) if rng.random() < 0.15]
+            for g in (make_graph(edges, extra_nodes=nodes), make_graph([], extra_nodes=nodes)):
+                for comms in (random_partial_partition(rng, nodes), [],
+                              [make_community(nodes)]):
+                    assert modularity(g, comms) == modularity_reference(g, comms)
 
 
 def test_communities_csv_sorted():

@@ -273,7 +273,7 @@ def test_assemble_features_matches_per_post_reference(spec, window_days, rnd):
             want = astuple(reference_features(posts, ctx, user, k))
             for name, a, b in zip(FEATURE_NAMES, got, want):
                 assert a == b, (name, user, k)
-        for user in sorted(set("abcde") - graph.nodes):
+        for user in sorted(set("abcde") - graph.nodes.keys()):
             with pytest.raises(ForumFluxError):
                 assemble_features(ctx, user, k)
 

@@ -8,8 +8,7 @@ import pytest
 from forumflux import _kernels, graph as graph_mod
 from forumflux.errors import ParseError
 from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
-                             edges_csv, graphs_from_csv, node_index, window_graphs,
-                             window_index)
+                             edges_csv, graphs_from_csv, window_graphs, window_index)
 
 from conftest import T0, make_graph, make_post, neighbors
 
@@ -64,13 +63,13 @@ class TestBuildWindows:
 class TestBuildGraph:
     def test_empty_window(self, day_window):
         g = build_graph([], day_window)
-        assert g.nodes == frozenset()
+        assert g.nodes.keys() == frozenset()
         assert g.edges == {}
 
     def test_minimal_edge(self, day_window):
         posts = [make_post("p1", "t1", "u1"), make_post("p2", "t1", "u2", minutes=1)]
         g = build_graph(posts, day_window)
-        assert g.nodes == frozenset({"u1", "u2"})
+        assert g.nodes.keys() == frozenset({"u1", "u2"})
         assert g.edges == {("u1", "u2"): 1}
 
     def test_shared_thread_weights(self, day_window):
@@ -86,7 +85,7 @@ class TestBuildGraph:
         posts = [make_post("p1", "t1", "u1"),
                  make_post("p2", "t1", "u2", minutes=60 * 24 + 1)]
         g = build_graph(posts, day_window)
-        assert g.nodes == frozenset({"u1"})
+        assert g.nodes.keys() == frozenset({"u1"})
         assert g.edges == {}
 
     def test_no_self_loops(self, day_window):
@@ -312,12 +311,6 @@ def rename(node, k):
     return f"n{int(node[1:]):03d}_{k}"
 
 
-def csr(graph):
-    """(indptr, indices) of a graph over its sorted nodes, as centrality_all builds them."""
-    order, rows, cols = node_index(graph)
-    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(order)))]), cols
-
-
 def test_component_labels_match_scipy():
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -329,10 +322,9 @@ def test_component_labels_match_scipy():
     path = [f"n{i:03d}" for i in rng.permutation(200)]
     graphs.append(make_graph(list(zip(path, path[1:]))))
     for g in graphs:
-        indptr, indices = csr(g)
         n = len(g.nodes)
-        labels = _kernels.component_labels(indptr, indices)
-        adjacency = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        labels = _kernels.component_labels(g.indptr, g.indices)
+        adjacency = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
         count, expected = connected_components(adjacency, directed=False)
         smallest = np.full(count, n)
         np.minimum.at(smallest, expected, np.arange(n))
@@ -386,35 +378,56 @@ def test_window_graphs_matches_per_window_build():
         window_graphs([], windows)
 
 
-class TestNodeIndex:
+def csr_pairs(graph):
+    """Every (row, column) pair of a graph's CSR adjacency, in storage order."""
+    rows = np.repeat(np.arange(len(graph.nodes)), np.diff(graph.indptr))
+    return list(zip(rows.tolist(), graph.indices.tolist()))
+
+
+class TestGraphArrays:
     def test_edges_both_ways_by_row_then_column(self):
         g = make_graph([("c", "a"), ("d", "b"), ("a", "b"), ("a", "d")],
                        extra_nodes=["0solo", "e"])
-        order, rows, cols = node_index(g)
-        assert order == ["0solo", "a", "b", "c", "d", "e"]
-        assert rows.dtype == cols.dtype == np.int64
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        assert pairs == [(1, 2), (1, 3), (1, 4), (2, 1), (2, 4), (3, 1), (4, 1), (4, 2)]
-        assert np.bincount(rows, minlength=len(order)).tolist() == [0, 3, 2, 1, 2, 0]
+        assert list(g.nodes.items()) == [("0solo", 0), ("a", 1), ("b", 2), ("c", 3), ("d", 4),
+                                         ("e", 5)]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert csr_pairs(g) == [(1, 2), (1, 3), (1, 4), (2, 1), (2, 4), (3, 1), (4, 1), (4, 2)]
+        assert np.diff(g.indptr).tolist() == [0, 3, 2, 1, 2, 0]
 
     def test_random_graphs_list_each_edge_twice_in_sorted_order(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             nodes = [f"n{i:02d}" for i in rng.permutation(int(rng.integers(1, 25)))]
             edges = [(a, b) for a, b in combinations(nodes, 2) if rng.random() < 0.2]
-            order, rows, cols = node_index(make_graph(edges, extra_nodes=nodes))
+            g = make_graph(edges, extra_nodes=nodes)
+            order = list(g.nodes)
             assert order == sorted(nodes)
-            pairs = list(zip(rows.tolist(), cols.tolist()))
+            assert list(g.nodes.values()) == list(range(len(nodes)))
+            pairs = csr_pairs(g)
             assert pairs == sorted({(order.index(a), order.index(b))
                                     for u, v in edges for a, b in ((u, v), (v, u))})
             assert len(pairs) == 2 * len(edges)
 
     @pytest.mark.parametrize("extra_nodes", [[], ["b", "a"]])
     def test_edgeless_graph(self, extra_nodes):
-        order, rows, cols = node_index(make_graph([], extra_nodes=extra_nodes))
-        assert order == sorted(extra_nodes)
-        assert rows.shape == cols.shape == (0,)
-        assert rows.dtype == cols.dtype == np.int64
+        g = make_graph([], extra_nodes=extra_nodes)
+        assert list(g.nodes) == sorted(extra_nodes)
+        assert g.indptr.tolist() == [0] * (len(extra_nodes) + 1)
+        assert g.indices.shape == (0,)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+
+    def test_read_back_graphs_hold_the_built_arrays(self):
+        rng = np.random.default_rng(23)
+        posts = [make_post(f"p{i}", f"t{int(rng.integers(0, 6))}", f"u{int(rng.integers(0, 15))}",
+                           minutes=int(rng.integers(0, 4 * 24 * 60))) for i in range(120)]
+        windows = build_windows(T0, T0 + timedelta(days=4), 1)
+        built = window_graphs(posts, windows)
+        read = graphs_from_csv(io.StringIO(edges_csv(built), newline=""), windows)
+        assert read == built
+        for b, r in zip(built, read):
+            assert b.indptr.dtype == r.indptr.dtype and b.indices.dtype == r.indices.dtype
+            assert np.array_equal(b.indptr, r.indptr) and np.array_equal(b.indices, r.indices)
+        assert any(b.indices.size for b in built)
 
 
 def test_edges_csv_round_trip_keeps_isolated_nodes_and_empty_windows():
@@ -437,13 +450,34 @@ def test_edges_csv_row_outside_windows_rejected():
         graphs_from_csv(io.StringIO(text, newline=""), windows)
 
 
-@pytest.mark.parametrize("rows, line", [("0,a,a,1", 2), ("0,b,a,1", 2), ("0,a,b,1\n0,a,b,2", 3)],
-                         ids=["self-loop", "reversed pair", "repeated pair"])
-def test_edges_csv_row_that_edges_csv_never_writes_rejected(rows, line):
+EDGE_ROW = "edge row at line {} must name two users in order"
+LONER_ROW = "isolated-node row at line {} must have weight 0 and name a user with no other row"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,a,a,1", EDGE_ROW.format(2)),
+    ("0,b,a,1", EDGE_ROW.format(2)),
+    ("0,a,b,1\n0,a,b,2", EDGE_ROW.format(3)),
+    ("0,a,b,-7", EDGE_ROW.format(2)),
+    ("0,a,b,0", EDGE_ROW.format(2)),
+    ("0,a,,3", LONER_ROW.format(2)),
+    ("0,a,,-1", LONER_ROW.format(2)),
+    ("0,a,b,1\n0,b,,0", LONER_ROW.format(3)),
+    ("0,a,,0\n0,a,c,1", EDGE_ROW.format(3)),
+    ("0,c,,0\n0,a,c,1", EDGE_ROW.format(3)),
+    ("0,a,,0\n0,a,,0", LONER_ROW.format(3)),
+], ids=["self-loop", "reversed pair", "repeated pair", "negative weight", "zero weight",
+        "isolated node with weight", "isolated node with negative weight",
+        "isolated node after its edge", "edge after its user's isolated node",
+        "edge after its second user's isolated node", "repeated isolated node"])
+def test_edges_csv_row_that_edges_csv_never_writes_rejected(rows, message):
     windows = build_windows(T0, T0 + timedelta(days=1), 1)
     header = "snapshot_index,user_a,user_b,weight\n"
-    # the same pair in another snapshot is a row edges_csv writes
-    graphs = graphs_from_csv(io.StringIO(header + "0,a,b,1\n1,a,b,1\n", newline=""), windows)
-    assert [g.edges for g in graphs] == [{("a", "b"): 1}] * 2
-    with pytest.raises(ParseError, match=rf"edge row at line {line} must name two users in order"):
+    # the same pair, or an isolated node with an edge elsewhere, in another snapshot
+    # is a row edges_csv writes
+    graphs = graphs_from_csv(io.StringIO(header + "0,a,b,1\n0,b,c,2\n1,a,b,1\n1,c,,0\n",
+                                         newline=""), windows)
+    assert [g.edges for g in graphs] == [{("a", "b"): 1, ("b", "c"): 2}, {("a", "b"): 1}]
+    assert [list(g.nodes) for g in graphs] == [["a", "b", "c"]] * 2
+    with pytest.raises(ParseError, match=f"^{message}"):
         graphs_from_csv(io.StringIO(header + rows + "\n", newline=""), windows)

@@ -13,7 +13,7 @@ from forumflux import graph, ingest
 from forumflux.errors import ConfigError, EmptyCorpusError, ParseError
 from forumflux.ingest import PostRecord, SynthParams
 
-from conftest import T0, feature_context, make_post, serialize
+from conftest import T0, feature_context, make_graph, make_post, serialize
 
 
 def parse_bytes(data, fmt):
@@ -63,9 +63,9 @@ class TestParsePosts:
         # graphs/edges.csv and the other artifact CSVs must read every user id back
         limit = csv.field_size_limit()
         longest = make_post("p1", "t1", "u" * limit)
-        edges = graph.edges_csv([graph.InteractionGraph(0, frozenset([longest.user_id]), {})])
+        edges = graph.edges_csv([make_graph([], extra_nodes=[longest.user_id])])
         assert graph.graphs_from_csv(io.StringIO(edges, newline=""),
-                                     [day_window])[0].nodes == {longest.user_id}
+                                     [day_window])[0].nodes.keys() == {longest.user_id}
         data = ingest.serialize_posts([longest, make_post("p2", "t1", "u" * 140_000)])
         with pytest.raises(ParseError, match=f"^user_id at line 2 is longer than {limit} "
                                              "characters$"):
