@@ -10,7 +10,9 @@ dependencies flow back through the same gather. A block's (sources x nodes) and
 (sources x edge slots) arrays stay within _BLOCK_ELEMENTS elements, so work and
 memory are O(block * largest component); no BLAS routine is called. Path counts
 are exact integers in float64. Closeness is (r/(n-1)) * (r/sum_d), r the reachable
-count and n the whole graph's; betweenness is the ordered-pair sum halved.
+count and n the whole graph's; betweenness is the ordered-pair sum halved. The
+same labels give `community.detect_communities` its communities, the components of
+its final topology.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Pipeline orchestration: config file, stage subcommands, artifact files.
+"""Pipeline orchestration: config file, stage commands, artifact files.
 
 `load_config` parses the config file once into a frozen, typed `Config` and
 checks every value there, ranges included, and loads the word lists it names,
@@ -333,14 +333,13 @@ def _build_parser():
         description="Forum community churn pipeline: snapshots, communities, "
                     "roles, features, and churn models.",
     )
+    parser.add_argument("command", choices=["run", *_STAGES],
+                        help="'run' runs ingest through report in order; a stage name "
+                             "runs that stage alone")
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--seed", metavar="N", help="override the config seed")
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", help="run every stage in order")
-    for name in _STAGES:
-        sub.add_parser(name, help=f"run only the {name} stage")
     return parser
 
 

@@ -7,8 +7,9 @@ every pair at once, then keeps an edge whose P > alpha and inserts a non-edge
 whose P >= beta; the diagonal stays clear. A pair that is neither adjacent
 nor shares a neighbor has P = 0 and, since beta > alpha >= 0, is never
 inserted. The update is synchronous, so results do not depend on any pair
-order. Communities are the connected components of the final matrix, over
-the graph's node numbering (ascending user id), filtered by a minimum size.
+order. Communities are the connected components of the final matrix, labelled
+by `_kernels.component_labels` (as in centrality) over its CSR form in the
+graph's node numbering (ascending user id), and filtered by a minimum size.
 Modularity labels each node with its community and sums array terms.
 """
 
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ForumFluxError, ParseError
+from . import _kernels
+from .errors import ConfigError, ParseError
 
 COMMUNITY_COLUMNS = ["snapshot_index", "community_id", "user_id"]
 
@@ -80,36 +82,25 @@ def detect_communities(graph, config=PropinquityConfig()):
             break
         seen_topologies.add(fingerprint)
 
-    communities = []
-    placed = np.zeros(len(order), dtype=bool)
-    while not placed.all():
-        # the first unplaced node is the smallest member of its component
-        members = frontier = np.arange(len(order)) == placed.argmin()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~members
-            members = members | frontier
-        placed |= members
-        if members.sum() >= config.min_community_size:
-            communities.append(Community(graph.snapshot_index, len(communities),
-                                         frozenset(order[i] for i in np.flatnonzero(members))))
-    return communities
+    rows, cols = np.nonzero(adj)
+    label = _kernels.component_labels(np.searchsorted(rows, np.arange(len(order) + 1)), cols)
+    roots, sizes = np.unique(label, return_counts=True)  # a root is its component's least node
+    return [Community(graph.snapshot_index, cid,
+                      frozenset(order[i] for i in np.flatnonzero(label == root)))
+            for cid, root in enumerate(roots[sizes >= config.min_community_size])]
 
 
 def modularity(graph, communities):
     """Newman-Girvan Q = sum_i (e_ii - a_i^2) on the unweighted graph.
 
-    Nodes outside every community count as singleton communities, in ascending
-    order after the communities; a graph with no edges scores 0. Overlapping
-    communities are rejected. The terms are summed left to right.
+    The communities are disjoint sets of nodes of the graph, as
+    communities_from_csv(fh, nodes) checks. Nodes outside every community count
+    as singleton communities, in ascending order after the communities; a graph
+    with no edges scores 0. The terms are summed left to right.
     """
     label = np.full(len(graph.nodes), -1)
     for i, comm in enumerate(communities):
-        at = [graph.nodes[u] for u in comm.members if u in graph.nodes]
-        if (label[at] >= 0).any():
-            raise ForumFluxError("overlapping communities are not allowed in modularity")
-        if len(at) < len(comm.members):
-            raise ForumFluxError("community members must be nodes of the graph")
-        label[at] = i
+        label[[graph.nodes[u] for u in comm.members]] = i
     m = graph.indices.size // 2
     if m == 0:
         return 0.0

@@ -136,9 +136,10 @@ def edges_csv(graphs):
 
 def graphs_from_csv(fh, windows):
     """Inverse of edges_csv: one graph per window, empty where no row names it. A row
-    edges_csv never writes is a ParseError: an edge row with a self-loop, a pair out of
-    order or repeated in its snapshot, a weight below 1 or a user of an isolated-node
-    row, and an isolated-node row of weight other than 0 or for a user named before."""
+    edges_csv never writes is a ParseError naming its line: a row with an empty user_a,
+    an edge row with a self-loop, a pair out of order or repeated in its snapshot, a
+    weight below 1 or a user of an isolated-node row, and an isolated-node row of weight
+    other than 0 or for a user named before."""
     linked = [set() for _ in windows]
     loners = [set() for _ in windows]
     edges = [{} for _ in windows]
@@ -155,11 +156,12 @@ def graphs_from_csv(fh, windows):
             raise ParseError(f"edge row at line {reader.line_num} names snapshot {k}, "
                              f"outside the {len(windows)} configured windows")
         if not b:
-            if weight != 0 or a in linked[k] or a in loners[k]:
+            if weight != 0 or not a or a in linked[k] or a in loners[k]:
                 raise ParseError(f"isolated-node row at line {reader.line_num} must have "
                                  "weight 0 and name a user with no other row in its snapshot")
             loners[k].add(a)
-        elif not a < b or (a, b) in edges[k] or weight < 1 or a in loners[k] or b in loners[k]:
+        elif (not "" < a < b or (a, b) in edges[k] or weight < 1
+              or a in loners[k] or b in loners[k]):
             raise ParseError(f"edge row at line {reader.line_num} must name two users in "
                              "order, user_a < user_b, a pair not listed before in its "
                              "snapshot, no user of an isolated-node row, and a weight of 1 "

@@ -3,10 +3,10 @@
 Each fit minimizes the L2-regularized mean negative log-likelihood by Newton's
 method from zero initialization until it has converged, so a trained model is
 the minimum, a pure function of its inputs; l2_lambda > 0 makes it unique. A
-masked weight stays exactly 0, and the loss is computed once per fit, at the
-end. The presets of a CV repeat share its split and normalization: each repeat
-trains one weight matrix, a row per preset, on its training rows, and scores it
-on its test rows.
+preset's mask selects the columns its fit solves for, so a masked weight stays
+exactly 0, and the loss is computed once per fit, at the end. The presets of a
+CV repeat share its split and normalization: each repeat trains one weight
+matrix, a row per preset, on its training rows, and scores it on its test rows.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ class Hyper:
 
 
 @dataclass(frozen=True)
-class NormalizationStats:
-    mean: np.ndarray
-    std: np.ndarray  # zero-variance columns carry std 1 (pass-through centering)
-
-
-@dataclass(frozen=True)
 class AblationPreset:
     key: str                 # its report is reports/<key>.json
     name: str
@@ -50,15 +44,10 @@ class AblationPreset:
 
 
 def normalize_fit(X):
-    """Per-feature mean/std (population) from a training split."""
-    mean = X.mean(axis=0)
+    """Per-feature (mean, std), population, of a training split; a zero-variance
+    column gets std 1, so (X - mean) / std only centers it."""
     std = X.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return NormalizationStats(mean=mean, std=std)
-
-
-def normalize_apply(stats, X):
-    return (X - stats.mean) / stats.std
+    return X.mean(axis=0), np.where(std == 0.0, 1.0, std)
 
 
 def loss_and_gradient(weights, bias, X, y, l2_lambda):
@@ -78,47 +67,37 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
 def train(X, y, masks, hyper=Hyper()):
     """Newton's method from zero init for each mask on one training set, X of shape
     (m, d) and y of shape (m,). Returns the weights W, of shape (k, d) for k masks,
-    and the biases b, of shape (k,). A fit steps until no weight or bias moves by
-    1e-10 or more; a fit still moving after hyper.epochs steps raises TrainingError."""
+    and the biases b, of shape (k,). A fit solves for the columns of its mask and a
+    bias, and steps until none of them moves by 1e-10 or more; a fit still moving
+    after hyper.epochs steps raises TrainingError."""
     M = np.array(masks, dtype=bool)
     pos = int((y == 1).sum())
     neg = int((y == 0).sum())
     if pos == 0 or neg == 0:
         raise TrainingError(f"need both classes to train, got {pos} positive / {neg} negative")
-    m, d = X.shape
     lam = hyper.l2_lambda
     W = np.zeros(M.shape)
     b = np.zeros(len(M))
-    # H and g: m times a fit's Hessian and gradient over its weights and bias. A masked
-    # weight keeps only the l2 term of its H row and column and has g 0: its step is 0.
-    keep = np.c_[M, np.ones(len(M), dtype=bool)]
-    l2 = np.diag(np.r_[np.full(d, lam), 0.0])
-    H = np.empty((d + 1, d + 1))
-    weighted = np.empty((d, m))  # the rows, transposed, times p (1 - p)
     with np.errstate(over="ignore"):  # exp overflows to inf where p is 0
-        for j, w in enumerate(W):
+        for j, mask in enumerate(M):
+            A = np.c_[X[:, mask], np.ones(len(X))]  # the fit's columns, then the bias's
+            l2 = np.r_[np.full(A.shape[1] - 1, lam), 0.0]
+            theta = np.zeros(A.shape[1])
             for _ in range(hyper.epochs):
-                p = 1.0 / (1.0 + np.exp(-(X @ w + b[j])))
-                s = p * (1.0 - p)
-                np.multiply(X.T, s, out=weighted)
-                H[:d, :d] = weighted @ X
-                H[:d, d] = H[d, :d] = weighted.sum(axis=1)
-                H[d, d] = s.sum()
-                H *= keep[j, :, None] & keep[j]
-                err = p - y
-                g = np.r_[X.T @ err + lam * w, err.sum()] * keep[j]
-                try:
-                    step = np.linalg.solve(H + l2, g)
+                p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+                try:  # m times the Hessian, and m times the gradient
+                    step = np.linalg.solve((A.T * (p * (1.0 - p))) @ A + np.diag(l2),
+                                           A.T @ (p - y) + l2 * theta)
                 except np.linalg.LinAlgError:  # p (1 - p) is 0 on every row, and lam too small
                     raise TrainingError(f"a Hessian is singular at l2_lambda = {lam}; "
                                         "raise l2_lambda") from None
-                w -= step[:d]
-                b[j] -= step[d]
+                theta -= step
                 if np.abs(step).max() < 1e-10:
                     break
             else:
                 raise TrainingError(f"a fit did not converge within epochs = {hyper.epochs} "
                                     "Newton steps; raise epochs or l2_lambda")
+            W[j, mask], b[j] = theta[:-1], theta[-1]
         losses = [loss_and_gradient(w, bias, X, y, lam)[0] for w, bias in zip(W, b)]
     if not np.isfinite(losses).all():
         raise TrainingError(f"final losses {losses} are not all finite")
@@ -134,11 +113,7 @@ def _score(W, b, X, y):
     """Precision, recall, F and accuracy, each of shape (k,), of the predictions
     1 / (1 + exp(-z)) >= 0.5 of the fits W (k, d), b (k,) on the rows X (n, d)
     with 0/1 labels y (n,); a zero denominator gives 0."""
-    p = W @ X.T  # z, then P in place: one (k, n) array
-    p += b[:, None]
-    np.exp(np.negative(p, out=p), out=p)
-    p += 1.0
-    pred = np.divide(1.0, p, out=p) >= 0.5
+    pred = 1.0 / (1.0 + np.exp(-(W @ X.T + b[:, None]))) >= 0.5
     pos = y == 1
     tp = (pred & pos).sum(axis=-1)
     precision = _ratio(tp, pred.sum(axis=-1))
@@ -201,11 +176,11 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     scores = []
     for train_idx, test_idx in _draw_splits(y, repeats, train_fraction, seed, balance):
         X_train, y_train = X[train_idx], y[train_idx]
-        stats = normalize_fit(X_train)
-        X_train = normalize_apply(stats, X_train)
+        mean, std = normalize_fit(X_train)
+        X_train = (X_train - mean) / std
         W, b = train(X_train, y_train, masks, hyper)
         accuracy = _score(W, b, X_train, y_train)[3]
-        test = _score(W, b, normalize_apply(stats, X[test_idx]), y[test_idx])
+        test = _score(W, b, (X[test_idx] - mean) / std, y[test_idx])
         scores.append((*test[:3], accuracy))
     scores = [np.array(metric) for metric in zip(*scores)]  # each (repeats, presets)
     reports = []

@@ -93,6 +93,24 @@ class TestStages:
         out = str(tmp_path / "out")
         assert run_cli("--config", config_path, "--out", out, "--quiet", "ingest") == 2
 
+    def test_unknown_or_missing_command_exits_1(self, capsys):
+        assert run_cli("bogus") == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert run_cli("--quiet") == 1
+        assert "required: command" in capsys.readouterr().err
+
+    def test_help_lists_every_stage(self, capsys):
+        assert run_cli("--help") == 0
+        assert "{" + ",".join(["run", *cli._STAGES]) + "}" in capsys.readouterr().out
+
+    def test_options_may_follow_the_command(self, built_tree, tmp_path, capsys):
+        out = copy_tree(built_tree, tmp_path)
+        assert run_cli("run", "--config", str(built_tree[0]), "--out", str(out), "--quiet") == 0
+        assert capsys.readouterr().err == ""  # --quiet took effect
+        assert artifact_tree(out) == artifact_tree(built_tree[1])
+        for rel in artifact_tree(out):
+            assert filecmp.cmp(out / rel, built_tree[1] / rel, shallow=False), rel
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("surprise = 1\n")

@@ -466,10 +466,13 @@ LONER_ROW = "isolated-node row at line {} must have weight 0 and name a user wit
     ("0,a,,0\n0,a,c,1", EDGE_ROW.format(3)),
     ("0,c,,0\n0,a,c,1", EDGE_ROW.format(3)),
     ("0,a,,0\n0,a,,0", LONER_ROW.format(3)),
+    ("0,,b,1", EDGE_ROW.format(2)),
+    ("0,,,0", LONER_ROW.format(2)),
 ], ids=["self-loop", "reversed pair", "repeated pair", "negative weight", "zero weight",
         "isolated node with weight", "isolated node with negative weight",
         "isolated node after its edge", "edge after its user's isolated node",
-        "edge after its second user's isolated node", "repeated isolated node"])
+        "edge after its second user's isolated node", "repeated isolated node",
+        "edge from an empty user id", "isolated node with an empty user id"])
 def test_edges_csv_row_that_edges_csv_never_writes_rejected(rows, message):
     windows = build_windows(T0, T0 + timedelta(days=1), 1)
     header = "snapshot_index,user_a,user_b,weight\n"

@@ -11,7 +11,7 @@ from forumflux import model
 from forumflux.errors import ConfigError, ParseError, TrainingError
 from forumflux.featureset import FEATURE_NAMES, N_FEATURES
 from forumflux.model import (AblationPreset, Hyper, loss_and_gradient,
-                             monte_carlo_cv, normalize_apply, normalize_fit,
+                             monte_carlo_cv, normalize_fit,
                              report_from_json, report_table, table2_presets,
                              train)
 
@@ -76,20 +76,20 @@ def random_masks(rng, k, d=N_FEATURES):
 class TestNormalization:
     def test_constant_column_centered(self):
         X = np.full((3, 1), 4.0)
-        stats = normalize_fit(X)
-        assert stats.std[0] == 1.0
-        assert np.all(normalize_apply(stats, X) == 0.0)
+        mean, std = normalize_fit(X)
+        assert std[0] == 1.0
+        assert np.all((X - mean) / std == 0.0)
 
     def test_population_std(self):
         X = np.array([[1.0], [3.0]])
-        stats = normalize_fit(X)
-        assert stats.mean[0] == 2.0
-        assert stats.std[0] == 1.0
-        assert normalize_apply(stats, X).ravel().tolist() == [-1.0, 1.0]
+        mean, std = normalize_fit(X)
+        assert mean[0] == 2.0
+        assert std[0] == 1.0
+        assert ((X - mean) / std).ravel().tolist() == [-1.0, 1.0]
 
     def test_apply_to_unseen_row(self):
-        stats = normalize_fit(np.array([[1.0], [3.0]]))
-        assert normalize_apply(stats, np.array([[5.0]]))[0, 0] == 3.0
+        mean, std = normalize_fit(np.array([[1.0], [3.0]]))
+        assert ((np.array([[5.0]]) - mean) / std)[0, 0] == 3.0
 
 
 class TestGradient:
@@ -198,7 +198,8 @@ class TestOptimum:
             X = rng.normal(size=(n, N_FEATURES)) * rng.uniform(0.1, 10.0, size=N_FEATURES)
             y = (X @ rng.normal(size=N_FEATURES) + rng.normal(scale=3.0, size=n) > 0) * 1.0
             y[:2] = [0.0, 1.0]
-            X = normalize_apply(normalize_fit(X), X)
+            mean, std = normalize_fit(X)
+            X = (X - mean) / std
             masks, lam = random_masks(rng, 3), float(10.0 ** rng.uniform(-4, 1))
             W, b = train(X, y, masks, Hyper(l2_lambda=lam))
             for mask, w, bias in zip(masks, W, b):
