@@ -40,12 +40,8 @@ def component_labels(indptr, indices):
 
 def centrality_csr(indptr, indices):
     """(closeness, betweenness) arrays for a CSR undirected adjacency."""
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
     n = indptr.shape[0] - 1
     closeness, betweenness = np.zeros(n), np.zeros(n)
-    if indices.size == 0:
-        return closeness, betweenness
     label = component_labels(indptr, indices)
     order = np.argsort(label, kind="stable")  # component by component, nodes ascending
     position = np.argsort(order)  # each node's place in that order

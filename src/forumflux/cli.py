@@ -30,8 +30,7 @@ from pathlib import Path
 
 from . import community as community_mod
 from . import evolution, featureset, graph as graph_mod, ingest, lexifeat, model
-from .errors import (ConfigError, EmptyCorpusError, ForumFluxError, MissingArtifactError,
-                     ParseError, TrainingError)
+from .errors import ConfigError, ForumFluxError, ParseError, TrainingError
 
 _FORMATS = ("jsonl", "csv")
 _WORD_LISTS = {"lexicon": lexifeat.load_lexicon, "intents": lexifeat.load_intent_patterns}
@@ -171,7 +170,7 @@ def _read(path, producer, parse, *args, error=ParseError):
               else open(path, newline="", encoding="utf-8"))
     except OSError as exc:  # missing, a directory, or unreadable
         if producer and isinstance(exc, FileNotFoundError):
-            raise MissingArtifactError(f"missing artifact {path}; run '{producer}' first")
+            raise ParseError(f"missing artifact {path}; run '{producer}' first")
         raise error(f"cannot read {path}: {exc}") from None
     with fh:
         try:
@@ -212,10 +211,9 @@ def stage_ingest(cfg, out_dir):
     path = cfg.input or out_dir / "posts.jsonl"
     posts = _read(path, None if cfg.input else "synth", ingest.parse_posts,
                   cfg.format if cfg.input else "jsonl")
-    try:
-        stats = ingest.corpus_stats(posts)
-    except EmptyCorpusError:
-        raise EmptyCorpusError(f"{path} holds no posts") from None
+    if not posts:
+        raise ParseError(f"{path} holds no posts")
+    stats = ingest.corpus_stats(posts)
     _write(out_dir / "posts.jsonl", ingest.serialize_posts(posts))
     _write(out_dir / "corpus_stats.json", {
         **asdict(stats), "first_post": ingest.format_timestamp(stats.first_post),
@@ -246,10 +244,15 @@ def stage_snapshots(cfg, out_dir, posts=None):
 
 
 def _read_graphs(cfg, out_dir):
-    """(windows, one graph per window) from graphs/edges.csv."""
+    """(windows, one graph per window) from graphs/edges.csv. The last window holds the last
+    post, so a last graph with no node is a ParseError: another window calendar built it."""
     windows = _windows(cfg, out_dir)
-    return windows, _read(out_dir / "graphs" / "edges.csv", "snapshots",
-                          graph_mod.graphs_from_csv, windows)
+    path = out_dir / "graphs" / "edges.csv"
+    graphs = _read(path, "snapshots", graph_mod.graphs_from_csv, windows)
+    if not graphs[-1].nodes:
+        raise ParseError(f"{path} has no row for the last of the {len(windows)} windows: it was "
+                         "built on another window calendar; rerun 'snapshots'")
+    return windows, graphs
 
 
 def stage_communities(cfg, out_dir):

@@ -6,19 +6,12 @@ class ForumFluxError(Exception):
 
 
 class ParseError(ForumFluxError):
-    """Malformed input row, bad timestamp, or duplicate post id."""
-
-
-class EmptyCorpusError(ForumFluxError):
-    """Raised when an operation requires at least one post."""
+    """A missing, empty or malformed input or artifact: a bad row or timestamp, a
+    duplicate post id, no posts, or an upstream artifact not yet written."""
 
 
 class ConfigError(ForumFluxError):
     """Invalid configuration value or unusable config file."""
-
-
-class MissingArtifactError(ForumFluxError):
-    """A pipeline stage was invoked before its upstream artifact exists."""
 
 
 class DegenerateDatasetError(ForumFluxError):

@@ -19,7 +19,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpusError, ParseError
+from .errors import ConfigError, ParseError
+from .lexifeat import (COGNITION_CATEGORIES, SENTIMENT_CATEGORIES, default_intent_patterns,
+                       default_lexicon)
 
 
 @dataclass(frozen=True)
@@ -106,44 +108,48 @@ def parse_posts(stream, fmt):
     text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape", newline="")
     seen = set()
     records = []
-    if fmt == "jsonl":
-        for line_no, line in enumerate(text, start=1):
-            if not line.strip():
-                continue
-            where = f" at line {line_no}"
+    try:
+        if fmt == "jsonl":
+            for line_no, line in enumerate(text, start=1):
+                if not line.strip():
+                    continue
+                where = f" at line {line_no}"
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, too deep
+                    raise ParseError(f"malformed JSON{where}: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise ParseError(f"malformed row{where}: expected object")
+                for key, value in obj.items():  # integers are kept as their decimal text
+                    if type(value) is not str:
+                        if type(value) is not int and key in _FIELDS:
+                            raise ParseError(f"field {key!r}{where} must be a string or an "
+                                             f"integer, got {json.dumps(value)[:40]}")
+                        obj[key] = str(value)
+                if obj.keys() != _FIELDS:
+                    missing = [k for k in CSV_COLUMNS if k not in obj]
+                    raise ParseError(
+                        f"missing field(s) {missing}{where}" if missing else
+                        f"unknown field(s) {[k for k in obj if k not in _FIELDS]}{where}")
+                records.append(_make_record(_field_values(obj), where, seen,
+                                            check_text="\\u" in line or not line.isascii()))
+        else:
+            reader = csv.reader(text)
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, too deep
-                raise ParseError(f"malformed JSON{where}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"malformed row{where}: expected object")
-            for key, value in obj.items():  # integers are kept as their decimal text
-                if type(value) is not str:
-                    if type(value) is not int and key in _FIELDS:
-                        raise ParseError(f"field {key!r}{where} must be a string or an "
-                                         f"integer, got {json.dumps(value)[:40]}")
-                    obj[key] = str(value)
-            if obj.keys() != _FIELDS:
-                missing = [k for k in CSV_COLUMNS if k not in obj]
-                raise ParseError(f"missing field(s) {missing}{where}" if missing else
-                                 f"unknown field(s) {[k for k in obj if k not in _FIELDS]}{where}")
-            records.append(_make_record(_field_values(obj), where, seen,
-                                        check_text="\\u" in line or not line.isascii()))
-    else:
-        reader = csv.reader(text)
-        try:
-            header = next(reader, None)
-            if header is None:
-                return []
-            if header != CSV_COLUMNS:
-                raise ParseError(f"bad CSV header {header}, expected {CSV_COLUMNS}")
-            for row in reader:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ParseError(f"malformed row at line {reader.line_num}: "
-                                     f"{len(row)} columns")
-                records.append(_make_record(row, f" at line {reader.line_num}", seen))
-        except csv.Error as exc:  # a field longer than csv.field_size_limit()
-            raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+                header = next(reader, None)
+                if header is None:
+                    return []
+                if header != CSV_COLUMNS:
+                    raise ParseError(f"bad CSV header {header}, expected {CSV_COLUMNS}")
+                for row in reader:
+                    if len(row) != len(CSV_COLUMNS):
+                        raise ParseError(f"malformed row at line {reader.line_num}: "
+                                         f"{len(row)} columns")
+                    records.append(_make_record(row, f" at line {reader.line_num}", seen))
+            except csv.Error as exc:  # a field longer than csv.field_size_limit()
+                raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    finally:  # a collected wrapper would close the caller's stream
+        text.detach()
     return records
 
 
@@ -157,8 +163,6 @@ def serialize_posts(records):
 
 
 def corpus_stats(posts):
-    if not posts:
-        raise EmptyCorpusError("cannot summarize an empty corpus")
     users = {p.user_id for p in posts}
     threads = {p.thread_id for p in posts}
     times = [p.created_at for p in posts]
@@ -231,11 +235,6 @@ def _community_rosters(rng, pool, n_windows):
 
 
 def _signal_words():
-    # Lazy import: lexifeat pulls nothing from this module, but keeping the
-    # generator decoupled from lexicon loading at import time is tidier.
-    from .lexifeat import (COGNITION_CATEGORIES, SENTIMENT_CATEGORIES,
-                           default_intent_patterns, default_lexicon)
-
     exact = [(word, cat) for word, cat in default_lexicon().entries if not word.endswith("*")]
     sentiment_words = sorted(w for w, cat in exact if cat in SENTIMENT_CATEGORIES)
     cognition_words = sorted(w for w, cat in exact if cat in COGNITION_CATEGORIES)

@@ -142,23 +142,6 @@ def _downsample_majority(idx, y, rng):
     return np.sort(np.concatenate([small, large[keep]]))
 
 
-def _draw_splits(y, repeats, train_fraction, seed, balance):
-    """Per repeat, its (train indices, test indices), drawn from a generator
-    seeded by (seed, repeat index) alone.
-
-    Both splits hold both classes: the stratified split puts 1..n-1 members
-    of each class in train, and downsampling keeps min of them from each.
-    """
-    splits = []
-    for rep in range(repeats):
-        rng = np.random.default_rng([seed, rep])
-        train_idx, test_idx = _stratified_split(y, train_fraction, rng)
-        if balance:
-            train_idx = _downsample_majority(train_idx, y, rng)
-        splits.append((train_idx, test_idx))
-    return splits
-
-
 def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
                    seed=0, balance=False):
     """Repeated stratified random splits; per preset, the report that stage_train writes
@@ -167,14 +150,18 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
 
     repeats >= 1 and 0 < train_fraction < 1, as load_config checks. Each repeat derives its own
     generator from (seed, repeat index), so the reports are identical under any evaluation
-    order, and all presets share each repeat's split and normalization. Every split holds both
-    classes on its first draw.
+    order, and all presets share its split and normalization. Both splits hold both classes:
+    train gets 1..n-1 of each class's n members, and balance cuts its larger class to the smaller.
     """
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise TrainingError("each class needs at least 2 examples for CV")
     masks = [p.feature_mask for p in presets]
     scores = []
-    for train_idx, test_idx in _draw_splits(y, repeats, train_fraction, seed, balance):
+    for rep in range(repeats):
+        rng = np.random.default_rng([seed, rep])
+        train_idx, test_idx = _stratified_split(y, train_fraction, rng)
+        if balance:
+            train_idx = _downsample_majority(train_idx, y, rng)
         X_train, y_train = X[train_idx], y[train_idx]
         mean, std = normalize_fit(X_train)
         X_train = (X_train - mean) / std

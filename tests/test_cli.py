@@ -594,9 +594,28 @@ class TestArtifactInterface:
             assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
         twelve = tmp_path / "twelve.cfg"
         twelve.write_text(SYNTH_CFG.replace("window_days = 24", "window_days = 12"))
+        assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", "communities") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'graphs' / 'edges.csv'} has no row for the last")
+        assert "rerun 'snapshots'" in err
+        assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", "roles") == 2
+        assert "run 'communities' first" in capsys.readouterr().err
+
+    def test_features_rejects_as_many_windows_of_another_width(self, tmp_path, config_path,
+                                                                capsys):
+        """A calendar with as many windows of another width gets past communities and
+        roles; features stops it."""
+        out = tmp_path / "out"
+        for stage in ("synth", "ingest", "snapshots"):
+            assert run_cli("--config", config_path, "--out", str(out), "--quiet", stage) == 0
+        stats = json.loads((out / "corpus_stats.json").read_text())
+        span = [ingest.parse_timestamp(stats[k]) for k in ("first_post", "last_post")]
+        days = next(d for d in (23, 25, 22, 26) if len(graph_mod.build_windows(*span, d)) == 5)
+        other = tmp_path / "other.cfg"
+        other.write_text(SYNTH_CFG.replace("window_days = 24", f"window_days = {days}"))
         for stage in ("communities", "roles"):
-            assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", stage) == 0
-        assert run_cli("--config", str(twelve), "--out", str(out), "--quiet", "features") == 2
+            assert run_cli("--config", str(other), "--out", str(out), "--quiet", stage) == 0
+        assert run_cli("--config", str(other), "--out", str(out), "--quiet", "features") == 2
         assert "rerun 'snapshots'" in capsys.readouterr().err
 
 

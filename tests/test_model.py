@@ -1,5 +1,6 @@
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,15 +316,36 @@ labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=60).filter(
 @given(labels, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        st.integers(0, 2**32 - 1), st.booleans())
 def test_every_split_holds_both_classes_and_one_train_size(y, train_fraction, seed, balance):
-    """Every split draws both classes on its first draw, so none is redrawn, and
-    every repeat trains on the same number of rows."""
+    """Every split monte_carlo_cv draws holds both classes in train and in test, so
+    each fit and score sees both, and every repeat trains on the same number of rows."""
     y = np.array(y)
-    splits = model._draw_splits(y, 6, train_fraction, seed, balance)
-    for train_idx, test_idx in splits:
+    splits, balanced, fitted = [], [], []
+
+    def recorded(results, draw):
+        def call(*args):
+            results.append(draw(*args))
+            return results[-1]
+        return call
+
+    def fit(X, y_train, masks, hyper):
+        fitted.append(y_train)
+        return np.zeros((len(masks), X.shape[1])), np.zeros(len(masks))
+
+    with (mock.patch.object(model, "_stratified_split",
+                            side_effect=recorded(splits, model._stratified_split)),
+          mock.patch.object(model, "_downsample_majority",
+                            side_effect=recorded(balanced, model._downsample_majority)),
+          mock.patch.object(model, "train", side_effect=fit)):
+        monte_carlo_cv(np.zeros((len(y), 1)), y, [AblationPreset("all", "all", full_mask(1))],
+                       repeats=6, train_fraction=train_fraction, seed=seed, balance=balance)
+    trained = balanced if balance else [train_idx for train_idx, _ in splits]
+    assert len(splits) == len(trained) == len(fitted) == 6
+    for train_idx, (_, test_idx), y_train in zip(trained, splits, fitted):
+        assert np.array_equal(y_train, y[train_idx])
         assert set(y[train_idx]) == {0.0, 1.0}
         assert set(y[test_idx]) == {0.0, 1.0}
         assert not set(train_idx) & set(test_idx)
-    assert len({len(train_idx) for train_idx, _ in splits}) == 1
+    assert len({len(train_idx) for train_idx in trained}) == 1
 
 
 def score_one(w, bias, X, y):
