@@ -278,10 +278,10 @@ def stage_features(cfg, out_dir, posts=None):
               {g.snapshot_index: g.nodes for g in windows_graphs[1]}),  # as modularity needs
         cfg.lexicon, cfg.intents)
     try:
-        examples = featureset.build_dataset(labels, cfg.task, ctx)
+        dataset = featureset.build_dataset(labels, cfg.task, ctx)
     except ParseError as exc:  # a role row for a user who did not post in its window
         raise ParseError(f"malformed {roles}: {exc}") from None
-    _write(out_dir / "dataset.csv", featureset.dataset_csv(examples))
+    _write(out_dir / "dataset.csv", featureset.dataset_csv(cfg.task, *dataset))
 
 
 def stage_train(cfg, out_dir):

@@ -1,73 +1,51 @@
-"""Assembly of the 18-feature vector per labeled user.
+"""The 18 features per labeled user, built as columns over (user, window) cells.
 
-Current-window fields come from the feature snapshot itself; every "*_before"
-and "last_*" field looks strictly before the feature window's start, so the
-vector never peeks at the window it describes. A user with no prior posts
-gets zeroed history fields, with times_appeared_before = 0 as the
-disambiguator, and last_activity measured from the corpus start.
+A cell is one user in one window where the user posted. Current-window fields
+come from the feature cell itself; every "*_before" and "last_*" field looks
+strictly before the feature window's start: history is the running total over
+the user's earlier cells, and last_* is read from the user's previous cell and
+its last post. A user with no earlier cell gets zeroed history fields, with
+times_appeared_before = 0 as the disambiguator, and last_activity measured from
+the corpus start.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
+from . import _kernels
 from . import community as community_mod
 from . import graph as graph_mod
 from .errors import DegenerateDatasetError, ParseError
 from .evolution import ROLES_BY_TASK, Task
 from .lexifeat import text_measures
 
-
-@dataclass(frozen=True)
-class FeatureVector:
-    sentiment: float
-    cognition: float
-    intent: float
-    connectiveness: float
-    betweenness: float
-    times_appeared_before: float
-    avg_sentiment_before: float
-    avg_cognition_before: float
-    avg_intent_before: float
-    avg_connectiveness: float
-    avg_betweenness: float
-    last_sentiment: float
-    last_cognition: float
-    last_intent: float
-    last_connectiveness: float
-    last_betweenness: float
-    last_activity: float
-    modularity: float
-
-
-FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
+FEATURE_NAMES = [
+    "sentiment", "cognition", "intent", "connectiveness", "betweenness",
+    "times_appeared_before", "avg_sentiment_before", "avg_cognition_before",
+    "avg_intent_before", "avg_connectiveness", "avg_betweenness", "last_sentiment",
+    "last_cognition", "last_intent", "last_connectiveness", "last_betweenness",
+    "last_activity", "modularity",
+]
 N_FEATURES = len(FEATURE_NAMES)
-_feature_values = attrgetter(*FEATURE_NAMES)
 DATASET_COLUMNS = ["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    user_id: str
-    snapshot_index: int
-    task: Task
-    label: int               # 1 = Joining/Leaving, 0 = Previous/Staying
-    features: FeatureVector
 
 
 class FeatureContext:
     """Everything feature assembly needs, precomputed per corpus.
 
-    Holds the windows, per-snapshot graphs/centralities, detected communities
-    with their modularity, and `activity`: per user, per window index in
-    ascending order, the (time, TextMeasures) of that user's posts in time
-    order. Posts are bucketed by `graph.posts_by_window`, and the users who
-    post in each window must be exactly that window's graph nodes.
+    Holds the windows, graphs, detected communities and, per window, the
+    modularity of its partition. Posts are bucketed by `graph.posts_by_window`;
+    `users` numbers the posting users in ascending id order, and the cells are
+    numbered in (user, window) order, `cells` holding user * n_windows + window.
+    Per cell it keeps the post count, the (sentiment, cognition, intent) sums,
+    the text measures and the seconds since the corpus start of the cell's
+    last post, the user's (closeness, betweenness) in the window's graph, and
+    `rank`, the cell's place among its user's cells.
+    The users who post in each window must be exactly that window's graph nodes.
     """
 
     def __init__(self, posts, windows, graphs, communities_by_snapshot,
@@ -75,93 +53,89 @@ class FeatureContext:
         self.windows = list(windows)
         self.graphs = {g.snapshot_index: g for g in graphs}
         self.communities = communities_by_snapshot
-        posts = sorted(posts, key=attrgetter("created_at"))
-        self.activity = {}
-        for k, bucket in enumerate(graph_mod.posts_by_window(posts, self.windows)):
-            for p in bucket:
-                self.activity.setdefault(p.user_id, {}).setdefault(k, []).append(
-                    (p.created_at, text_measures(p.body, lexicon, patterns)))
-        posted = {(k, u) for u, by_window in self.activity.items() for k in by_window}
-        if posted != {(k, u) for k, g in self.graphs.items() for u in g.nodes}:
-            raise ParseError("the graphs do not hold the users who post in each window: they "
-                             "were built on another window calendar; rerun 'snapshots'")
+        n_windows, first = len(self.windows), self.windows[0].start
+        buckets = graph_mod.posts_by_window(sorted(posts, key=lambda p: p.created_at),
+                                            self.windows)
+        posts = [p for bucket in buckets for p in bucket]  # still in time order
+        self.users = {u: i for i, u in enumerate(sorted({p.user_id for p in posts}))}
+        user = np.fromiter((self.users[p.user_id] for p in posts), np.int64, len(posts))
+        window = np.repeat(np.arange(n_windows), [len(b) for b in buckets])
+        self.cells, cell = np.unique(user * n_windows + window, return_inverse=True)
+        text = np.array([(m.sentiment, m.cognition, m.intent) for m in
+                         (text_measures(p.body, lexicon, patterns) for p in posts)])
+        self.count = np.bincount(cell)
+        self.text = np.column_stack([np.bincount(cell, weights=col) for col in text.T])
+        last = np.zeros(self.cells.size, np.int64)
+        np.maximum.at(last, cell, np.arange(len(posts)))  # fancy assignment has no order
+        self.last_text = text[last]
+        self.last_seconds = np.array([(posts[j].created_at - first).total_seconds()
+                                      for j in last.tolist()])
+        self.start_seconds = np.array([(w.start - first).total_seconds() for w in self.windows])
 
-        centrality = {idx: graph_mod.centrality_all(g) for idx, g in self.graphs.items()}
-        self.closeness = {idx: clo for idx, (clo, _) in centrality.items()}
-        self.betweenness = {idx: bet for idx, (_, bet) in centrality.items()}
-        self.snapshot_modularity = {
-            idx: community_mod.modularity(self.graphs[idx], self.communities.get(idx, []))
-            for idx in self.graphs
-        }
+        cell_user, cell_window = np.divmod(self.cells, n_windows)
+        self.centrality = np.zeros((self.cells.size, 2))  # closeness, betweenness
+        for k in range(n_windows):
+            g, in_k = self.graphs[k], cell_window == k
+            if cell_user[in_k].tolist() != [self.users.get(u) for u in g.nodes]:
+                raise ParseError("the graphs do not hold the users who post in each window: "
+                                 "they were built on another window calendar; rerun "
+                                 "'snapshots'")
+            self.centrality[in_k] = np.column_stack(_kernels.centrality_csr(g.indptr,
+                                                                            g.indices))
+        self.modularity = np.array([
+            community_mod.modularity(self.graphs[k], self.communities.get(k, []))
+            for k in range(n_windows)])
+        # each cell's place among its user's cells, 0 at the user's first window
+        self.rank = np.arange(self.cells.size) - np.searchsorted(cell_user, cell_user)
 
 
-def _text_sums(posts):
-    """(sentiment, cognition, intent) summed over (time, TextMeasures) pairs."""
-    return (sum(m.sentiment for _, m in posts), sum(m.cognition for _, m in posts),
-            sum(m.intent for _, m in posts))
+def assemble_features(ctx, keys):
+    """The (len(keys), 18) feature matrix, a row per (user_id, snapshot_index) key.
 
-
-def assemble_features(ctx, user, snapshot_index):
-    """The 18-feature vector for a user at a feature snapshot.
-
-    History is the user's posts in earlier windows; the prior snapshots are
-    the windows where the user posted, which the calendar check in
-    FeatureContext makes the windows where the user is a node.
+    History sums run over each user's cells left to right, as a Python sum
+    would add them. A key whose user posted nowhere, or not in its window, is
+    a ParseError naming the first such key.
     """
-    by_window = ctx.activity.get(user)
-    if by_window is None:
-        raise ParseError(f"unknown user {user!r}")
-    if snapshot_index not in by_window:
-        raise ParseError(f"user {user!r} has no activity at snapshot {snapshot_index}")
-    window = ctx.windows[snapshot_index]  # a calendar index: the user posted in it
-    sentiment, cognition, intent = _text_sums(by_window[snapshot_index])
+    n_windows = len(ctx.windows)
+    code = np.array([ctx.users[user] * n_windows + snap
+                     if user in ctx.users and 0 <= snap < n_windows else -1
+                     for user, snap in keys], dtype=np.int64)
+    c = np.searchsorted(ctx.cells, code).clip(max=ctx.cells.size - 1)
+    missing = ctx.cells[c] != code  # -1: unknown user, or a snapshot whose key would alias
+    if missing.any():
+        user, snap = keys[int(np.argmax(missing))]
+        if user not in ctx.users:
+            raise ParseError(f"unknown user {user!r}")
+        raise ParseError(f"user {user!r} has no activity at snapshot {snap}")
 
-    prior_snaps = [k for k in by_window if k < snapshot_index]
-    history = [post for k in prior_snaps for post in by_window[k]]
-    n_before = len(history)
-    if history:
-        avg_sent, avg_cog, avg_int = (total / n_before for total in _text_sums(history))
-        since, last = history[-1]
-        last_sent, last_cog, last_int = last.sentiment, last.cognition, last.intent
-        avg_clo = sum(ctx.closeness[j][user] for j in prior_snaps) / len(prior_snaps)
-        avg_bet = sum(ctx.betweenness[j][user] for j in prior_snaps) / len(prior_snaps)
-        last_clo = ctx.closeness[prior_snaps[-1]][user]
-        last_bet = ctx.betweenness[prior_snaps[-1]][user]
-    else:
-        avg_sent = avg_cog = avg_int = last_sent = last_cog = last_int = 0.0
-        avg_clo = avg_bet = last_clo = last_bet = 0.0
-        since = ctx.windows[0].start  # the corpus's first post
-    last_activity = (window.start - since).total_seconds() / graph_mod.SECONDS_PER_DAY
-
-    return FeatureVector(
-        sentiment=float(sentiment),
-        cognition=float(cognition),
-        intent=float(intent),
-        connectiveness=ctx.closeness[snapshot_index].get(user, 0.0),
-        betweenness=ctx.betweenness[snapshot_index].get(user, 0.0),
-        times_appeared_before=float(n_before),
-        avg_sentiment_before=avg_sent,
-        avg_cognition_before=avg_cog,
-        avg_intent_before=avg_int,
-        avg_connectiveness=avg_clo,
-        avg_betweenness=avg_bet,
-        last_sentiment=float(last_sent),
-        last_cognition=float(last_cog),
-        last_intent=float(last_int),
-        last_connectiveness=last_clo,
-        last_betweenness=last_bet,
-        last_activity=last_activity,
-        modularity=ctx.snapshot_modularity[snapshot_index],
-    )
+    own = np.column_stack([ctx.count, ctx.text, ctx.centrality])
+    total = np.zeros_like(own)  # over the user's earlier cells
+    for r in range(1, ctx.rank.max(initial=0) + 1):
+        at = np.flatnonzero(ctx.rank == r)
+        total[at] = total[at - 1] + own[at - 1]
+    total, rank, window = total[c], ctx.rank[c], code % n_windows
+    prev = c - 1  # the user's previous cell, where rank > 0
+    since = np.where(rank > 0, ctx.last_seconds[prev], 0)
+    return np.column_stack([
+        ctx.text[c], ctx.centrality[c], total[:, 0],
+        total[:, 1:4] / np.maximum(total[:, :1], 1),
+        total[:, 4:] / np.maximum(rank[:, None], 1),
+        np.where(rank[:, None] > 0, np.column_stack([ctx.last_text[prev],
+                                                     ctx.centrality[prev]]), 0.0),
+        (ctx.start_seconds[window] - since) / graph_mod.SECONDS_PER_DAY,
+        ctx.modularity[window],
+    ])
 
 
 def build_dataset(labels, task, ctx):
-    """Labeled examples for one task.
+    """(keys, y, X) for one task: the (user_id, snapshot_index) keys sorted by
+    snapshot then user, their 0/1 labels (1 = Joining/Leaving) and the feature
+    matrix.
 
-    JoinVsPrevious vectors are taken at the current snapshot t; LeaveVsStay
-    vectors at t-1, the last snapshot where leavers are still present, which
-    keeps the prediction causal. Duplicate (user, snapshot) rows collapse
-    with positive-label precedence.
+    JoinVsPrevious rows are taken at the current snapshot t; LeaveVsStay rows
+    at t-1, the last snapshot where leavers are still present, which keeps the
+    prediction causal. Duplicate (user, snapshot) rows collapse with
+    positive-label precedence.
     """
     positive_role, negative_role = ROLES_BY_TASK[task]
     rows = {}
@@ -177,27 +151,18 @@ def build_dataset(labels, task, ctx):
     if not any(y == 1 for y in rows.values()) or not any(y == 0 for y in rows.values()):
         raise DegenerateDatasetError(
             f"task {task.value} needs at least one positive and one negative example")
-    examples = []
-    for (user, snap) in sorted(rows, key=lambda k: (k[1], k[0])):
-        examples.append(LabeledExample(
-            user_id=user,
-            snapshot_index=snap,
-            task=task,
-            label=rows[(user, snap)],
-            features=assemble_features(ctx, user, snap),
-        ))
-    return examples
+    keys = sorted(rows, key=lambda k: (k[1], k[0]))
+    return keys, np.array([rows[k] for k in keys]), assemble_features(ctx, keys)
 
 
-def dataset_csv(examples):
-    """CSV task,snapshot_index,user_id,label,<18 feature columns>."""
+def dataset_csv(task, keys, y, X):
+    """CSV task,snapshot_index,user_id,label,<18 feature columns>, a row per key in
+    order; each feature is written as the repr of a Python float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(DATASET_COLUMNS)
-    ordered = sorted(examples, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
-    for ex in ordered:
-        writer.writerow([ex.task.value, ex.snapshot_index, ex.user_id, ex.label]
-                        + [repr(v) for v in _feature_values(ex.features)])
+    writer.writerows([task.value, snap, user, label] + [repr(v) for v in row]
+                     for (user, snap), label, row in zip(keys, y.tolist(), X.tolist()))
     return buf.getvalue()
 
 

@@ -5,8 +5,9 @@ first post; `posts_by_window` buckets posts, and a post outside the calendar
 is an error. Within a window, two users are connected iff they posted in at
 least one common thread; the edge weight is the number of distinct shared
 threads. Each graph numbers its nodes in ascending order and holds the CSR
-adjacency over those numbers, which both numpy kernels read: centrality (on the
-unweighted graph) and propinquity dynamics.
+adjacency over those numbers, which the numpy kernels read directly: `featureset`
+hands it to `_kernels.centrality_csr` (the unweighted graph), and `community` runs
+propinquity dynamics on it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _kernels
 from .errors import ParseError
 
 SECONDS_PER_DAY = 86400.0
@@ -111,12 +111,6 @@ def posts_by_window(posts, windows):
 def window_graphs(posts, windows):
     """One graph per window of a contiguous calendar; each post is bucketed once."""
     return [build_graph(bucket, w) for bucket, w in zip(posts_by_window(posts, windows), windows)]
-
-
-def centrality_all(graph):
-    """(closeness map, betweenness map) over every node of the graph."""
-    closeness, betweenness = _kernels.centrality_csr(graph.indptr, graph.indices)
-    return dict(zip(graph.nodes, closeness.tolist())), dict(zip(graph.nodes, betweenness.tolist()))
 
 
 def edges_csv(graphs):

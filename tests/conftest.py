@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from forumflux import _kernels
 from forumflux.community import Community, detect_communities
 from forumflux.featureset import FeatureContext
 from forumflux.graph import InteractionGraph, SnapshotWindow, build_windows, window_graphs
@@ -60,6 +61,12 @@ def feature_context(posts, window_days, lexicon, patterns, prop_config):
     graphs = window_graphs(posts, windows)
     communities = {g.snapshot_index: detect_communities(g, prop_config) for g in graphs}
     return FeatureContext(posts, windows, graphs, communities, lexicon, patterns)
+
+
+def centrality_all(graph):
+    """(closeness map, betweenness map) over every node of the graph, from the kernel."""
+    closeness, betweenness = _kernels.centrality_csr(graph.indptr, graph.indices)
+    return dict(zip(graph.nodes, closeness.tolist())), dict(zip(graph.nodes, betweenness.tolist()))
 
 
 def make_community(members, community_id=0, snapshot_index=0):

@@ -18,9 +18,10 @@ from forumflux import featureset, graph as graph_mod, ingest, lexifeat, model
 from forumflux.cli import main as cli_main
 from forumflux.community import PropinquityConfig, detect_communities, modularity
 from forumflux.evolution import Role, Task, label_all, label_roles, match_communities
-from forumflux.graph import build_windows, centrality_all
+from forumflux.graph import build_windows
 
-from conftest import TWO_TRIANGLES_BRIDGE, feature_context, make_community, make_graph
+from conftest import (TWO_TRIANGLES_BRIDGE, centrality_all, feature_context, make_community,
+                      make_graph)
 from test_graph import oracle_betweenness, oracle_closeness, random_graph
 
 
@@ -169,9 +170,9 @@ def _pipeline_f_measure(strength, seed=7, repeats=20):
     ctx = feature_context(
         posts, 24, lexifeat.default_lexicon(), lexifeat.default_intent_patterns(),
         PropinquityConfig())
-    examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
-    X, y = featureset.dataset_from_csv(io.StringIO(featureset.dataset_csv(examples),
-                                                   newline=""))
+    dataset = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
+    X, y = featureset.dataset_from_csv(io.StringIO(
+        featureset.dataset_csv(Task.LEAVE_VS_STAY, *dataset), newline=""))
     rep = model.monte_carlo_cv(X, y, [model.table2_presets()[0]],
                                repeats=repeats, seed=0)[0]
     return len(posts), rep["metrics"]["f_measure"]["mean"]

@@ -6,7 +6,6 @@ free of carriage returns. Commas, quotes and newlines must survive.
 
 import csv
 import io
-from dataclasses import astuple
 from datetime import timedelta
 from itertools import combinations
 
@@ -18,8 +17,7 @@ from hypothesis import strategies as st
 from forumflux.community import Community, communities_csv, communities_from_csv
 from forumflux.evolution import Role, RoleLabel, Task, roles_csv, roles_from_csv
 from forumflux.errors import DegenerateDatasetError, ParseError
-from forumflux.featureset import (DATASET_COLUMNS, N_FEATURES, FeatureVector, LabeledExample,
-                                  dataset_csv, dataset_from_csv)
+from forumflux.featureset import DATASET_COLUMNS, N_FEATURES, dataset_csv, dataset_from_csv
 from forumflux.graph import build_windows, edges_csv, graphs_from_csv
 
 from conftest import T0, make_graph
@@ -71,23 +69,28 @@ def test_roles_round_trip(labels):
 
 
 # every value dataset_from_csv accepts: finite, at most 1e150 in magnitude
-feature_vectors = st.lists(st.floats(-1e150, 1e150), min_size=N_FEATURES,
-                           max_size=N_FEATURES).map(lambda v: FeatureVector(*v))
-examples = st.builds(LabeledExample, user_id=user_ids, snapshot_index=st.integers(0, 9),
-                     task=st.sampled_from(Task), label=st.integers(0, 1),
-                     features=feature_vectors)
+dataset_rows = st.tuples(user_ids, st.integers(0, 9), st.integers(0, 1),
+                         st.lists(st.floats(-1e150, 1e150), min_size=N_FEATURES,
+                                  max_size=N_FEATURES))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(examples, min_size=1, max_size=6))
-def test_dataset_round_trip(rows):
-    ordered = sorted(rows, key=lambda e: (e.task.value, e.snapshot_index, e.user_id))
-    text = dataset_csv(rows)
-    X, y = dataset_from_csv(io.StringIO(text, newline=""))
-    np.testing.assert_array_equal(X, [astuple(e.features) for e in ordered])
-    np.testing.assert_array_equal(y, [e.label for e in ordered])
-    users = [row[2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
-    assert users == [e.user_id for e in ordered]
+@given(st.sampled_from(Task), st.lists(dataset_rows, min_size=1, max_size=6))
+def test_dataset_round_trip(task, rows):
+    keys = [(user, snap) for user, snap, _, _ in rows]
+    y = np.array([label for _, _, label, _ in rows])
+    X = np.array([features for *_, features in rows], dtype=np.float64)
+    text = dataset_csv(task, keys, y, X)
+    # numpy 2 prints a numpy scalar's repr as np.float64(...): the rows must be Python floats
+    assert "np.float64" not in text
+    X_read, y_read = dataset_from_csv(io.StringIO(text, newline=""))
+    np.testing.assert_array_equal(X_read, X)
+    np.testing.assert_array_equal(y_read, y)
+    written = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    assert [row[:4] for row in written] == [[task.value, str(snap), user, str(label)]
+                                            for (user, snap), label in zip(keys, y.tolist())]
+    assert [row[4:] for row in written] == [[repr(float(v)) for v in features]
+                                            for *_, features in rows]
 
 
 def dataset_row(label, features):

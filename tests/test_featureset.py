@@ -1,19 +1,21 @@
+import random
 from bisect import bisect_left
-from dataclasses import astuple
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumflux import featureset
+from forumflux.community import modularity
 from forumflux.errors import DegenerateDatasetError, ForumFluxError
 from forumflux.evolution import Role, RoleLabel, Task, label_all
-from forumflux.featureset import (FEATURE_NAMES, FeatureContext, FeatureVector,
-                                  assemble_features, build_dataset, dataset_csv)
+from forumflux.featureset import (FEATURE_NAMES, FeatureContext, assemble_features,
+                                  build_dataset, dataset_csv)
 from forumflux.graph import SECONDS_PER_DAY, build_windows, window_graphs
 from forumflux.lexifeat import IntentPatterns, Lexicon, text_measures
 
-from conftest import T0, make_community, make_post
+from conftest import T0, centrality_all, make_community, make_post
 
 LEX = Lexicon(entries=(("happy", "posemo"), ("think*", "cogmech")))
 PATTERNS = IntentPatterns(phrases=(("i", "will"),))
@@ -33,6 +35,15 @@ def day_posts(spec):
             for pid, t, u, day, body in spec]
 
 
+def features(ctx, user, snapshot_index, *names):
+    """The named columns of one key's feature row, read by FEATURE_NAMES.index."""
+    row = assemble_features(ctx, [(user, snapshot_index)])[0].tolist()
+    return tuple(row[FEATURE_NAMES.index(name)] for name in names)
+
+
+TEXT = ("sentiment", "cognition", "intent")
+
+
 class TestUserWindowMeasures:
     """The current-window text fields: one user's posts inside one window."""
 
@@ -42,8 +53,7 @@ class TestUserWindowMeasures:
             ("p2", "t2", "u1", 1.1, "stone"),
         ])
         # the window-1 post matches no category; the window-0 post must not count
-        fv = assemble_features(make_context(posts), "u1", 1)
-        assert (fv.sentiment, fv.cognition, fv.intent) == (0, 0, 0)
+        assert features(make_context(posts), "u1", 1, *TEXT) == (0, 0, 0)
 
     def test_sums_over_posts(self):
         posts = day_posts([
@@ -51,15 +61,14 @@ class TestUserWindowMeasures:
             ("p2", "t1", "u1", 0.2, "happy happy"),
             ("p3", "t1", "u2", 0.3, "happy"),
         ])
-        assert assemble_features(make_context(posts), "u1", 0).sentiment == 3
+        assert features(make_context(posts), "u1", 0, "sentiment") == (3,)
 
     def test_manual_count_mixed(self):
         posts = day_posts([
             ("p1", "t1", "u1", 0.1, "thinking about it i will go"),
             ("p2", "t1", "u1", 0.2, "happy thinker here"),
         ])
-        fv = assemble_features(make_context(posts), "u1", 0)
-        assert (fv.sentiment, fv.cognition, fv.intent) == (1, 2, 1)
+        assert features(make_context(posts), "u1", 0, *TEXT) == (1, 2, 1)
 
 
 class TestAssembleFeatures:
@@ -68,15 +77,13 @@ class TestAssembleFeatures:
             ("p1", "t1", "a", 0.0, "x"), ("p2", "t1", "b", 0.1, "x"),
             ("p3", "t2", "c", 2.5, "x"), ("p4", "t2", "d", 2.6, "x"),
         ])
+        history = ("times_appeared_before", "avg_sentiment_before", "avg_cognition_before",
+                   "avg_intent_before", "avg_connectiveness", "avg_betweenness",
+                   "last_sentiment", "last_cognition", "last_intent", "last_connectiveness",
+                   "last_betweenness")
         ctx = make_context(posts)
-        fv = assemble_features(ctx, "c", 2)
-        assert fv.times_appeared_before == 0
-        for name in ("avg_sentiment_before", "avg_cognition_before", "avg_intent_before",
-                     "avg_connectiveness", "avg_betweenness", "last_sentiment",
-                     "last_cognition", "last_intent", "last_connectiveness",
-                     "last_betweenness"):
-            assert getattr(fv, name) == 0.0
-        assert fv.last_activity == pytest.approx(2.0)  # corpus start to window-2 start
+        assert features(ctx, "c", 2, *history) == (0.0,) * len(history)
+        assert features(ctx, "c", 2, "last_activity") == (2.0,)  # corpus start to window 2
 
     def test_single_prior_snapshot_centrality(self):
         # window 0: path a-b-c (betweenness(b) = 1); window 1: b posts alone
@@ -85,11 +92,11 @@ class TestAssembleFeatures:
             ("p3", "tb", "b", 0.3, "x"), ("p4", "tb", "c", 0.4, "x"),
             ("p5", "tc", "b", 1.5, "x"),
         ])
-        ctx = make_context(posts)
-        fv = assemble_features(ctx, "b", 1)
-        assert fv.avg_betweenness == pytest.approx(1.0)
-        assert fv.last_betweenness == pytest.approx(1.0)
-        assert fv.avg_connectiveness == pytest.approx(1.0)  # path center closeness
+        avg_bet, last_bet, avg_clo = features(make_context(posts), "b", 1, "avg_betweenness",
+                                              "last_betweenness", "avg_connectiveness")
+        assert avg_bet == pytest.approx(1.0)
+        assert last_bet == pytest.approx(1.0)
+        assert avg_clo == pytest.approx(1.0)  # path center closeness
 
     def test_prior_post_measures(self):
         # prior sentiments [2, 0, 1] then a current post
@@ -99,24 +106,25 @@ class TestAssembleFeatures:
             ("p3", "t2", "u", 1.5, "happy stone"),
             ("p4", "t3", "u", 2.5, "quiet"),
         ])
-        ctx = make_context(posts)
-        fv = assemble_features(ctx, "u", 2)
-        assert fv.times_appeared_before == 3
-        assert fv.avg_sentiment_before == pytest.approx(1.0)
-        assert fv.last_sentiment == 1.0
-        assert fv.last_activity == pytest.approx(0.5)
+        n_before, avg_sent, last_sent, last_activity = features(
+            make_context(posts), "u", 2, "times_appeared_before", "avg_sentiment_before",
+            "last_sentiment", "last_activity")
+        assert n_before == 3
+        assert avg_sent == pytest.approx(1.0)
+        assert last_sent == 1.0
+        assert last_activity == pytest.approx(0.5)
 
     def test_unknown_user_rejected(self):
         posts = day_posts([("p1", "t1", "a", 0.1, "x")])
         ctx = make_context(posts)
-        with pytest.raises(ForumFluxError):
-            assemble_features(ctx, "ghost", 0)
+        with pytest.raises(ForumFluxError, match="unknown user 'ghost'"):
+            assemble_features(ctx, [("a", 0), ("ghost", 0)])
 
     def test_absent_user_rejected(self):
         posts = day_posts([("p1", "t1", "a", 0.1, "x"), ("p2", "t1", "b", 1.1, "x")])
         ctx = make_context(posts)
-        with pytest.raises(ForumFluxError):
-            assemble_features(ctx, "b", 0)
+        with pytest.raises(ForumFluxError, match="user 'b' has no activity at snapshot 0"):
+            assemble_features(ctx, [("a", 0), ("b", 0)])
 
     def test_recompute_is_identical(self):
         posts = day_posts([
@@ -125,9 +133,9 @@ class TestAssembleFeatures:
             ("p3", "t2", "a", 1.5, "stone"),
             ("p4", "t2", "b", 1.6, "happy"),
         ])
-        fv1 = assemble_features(make_context(posts), "a", 1)
-        fv2 = assemble_features(make_context(posts), "a", 1)
-        assert astuple(fv1) == astuple(fv2)
+        keys = [("a", 1), ("b", 1)]
+        np.testing.assert_array_equal(assemble_features(make_context(posts), keys),
+                                      assemble_features(make_context(posts), keys))
 
     def test_history_depends_only_on_earlier_posts(self):
         posts = day_posts([
@@ -135,18 +143,15 @@ class TestAssembleFeatures:
             ("p3", "t2", "a", 1.5, "stone"), ("p4", "t2", "b", 1.6, "happy happy"),
             ("p5", "t3", "a", 2.5, "x"), ("p6", "t3", "b", 2.6, "x"),
         ])
-        full = assemble_features(make_context(posts), "a", 2)
+        history = ("times_appeared_before", "avg_sentiment_before", "avg_cognition_before",
+                   "avg_intent_before", "last_sentiment", "last_cognition", "last_intent",
+                   "last_activity")
+        full = features(make_context(posts), "a", 2, *history)
         # recompute history fields from the corpus truncated at window-2 start
         truncated = [p for p in posts
                      if (p.created_at - T0).total_seconds() < 2 * 86400]
         # keep one post inside window 2 so the user is still present
-        ctx = make_context(truncated + [posts[4]])
-        recomputed = assemble_features(ctx, "a", 2)
-        for name in ("times_appeared_before", "avg_sentiment_before",
-                     "avg_cognition_before", "avg_intent_before",
-                     "last_sentiment", "last_cognition", "last_intent",
-                     "last_activity"):
-            assert getattr(full, name) == getattr(recomputed, name)
+        assert features(make_context(truncated + [posts[4]]), "a", 2, *history) == full
 
 
 def scenario_context():
@@ -168,16 +173,14 @@ class TestBuildDataset:
     def test_scenario_counts(self):
         ctx = scenario_context()
         labels = label_all(ctx.communities)
-        join = build_dataset(labels, Task.JOIN_VS_PREVIOUS, ctx)
-        leave = build_dataset(labels, Task.LEAVE_VS_STAY, ctx)
-        assert sum(e.label for e in join) == 1
-        assert sum(1 - e.label for e in join) == 3
-        assert {e.user_id for e in join if e.label == 1} == {"e"}
-        assert all(e.snapshot_index == 1 for e in join)
-        assert sum(e.label for e in leave) == 1
-        assert sum(1 - e.label for e in leave) == 3
-        assert {e.user_id for e in leave if e.label == 1} == {"d"}
-        assert all(e.snapshot_index == 0 for e in leave)  # causal: features at t-1
+        join_keys, join_y, join_X = build_dataset(labels, Task.JOIN_VS_PREVIOUS, ctx)
+        leave_keys, leave_y, leave_X = build_dataset(labels, Task.LEAVE_VS_STAY, ctx)
+        assert join_keys == [("a", 1), ("b", 1), ("c", 1), ("e", 1)]
+        assert join_y.tolist() == [0, 0, 0, 1]
+        assert leave_keys == [("a", 0), ("b", 0), ("c", 0), ("d", 0)]  # causal: features at t-1
+        assert leave_y.tolist() == [0, 0, 0, 1]
+        assert join_X.shape == leave_X.shape == (4, featureset.N_FEATURES)
+        np.testing.assert_array_equal(leave_X, assemble_features(ctx, leave_keys))
 
     def test_degenerate_dataset_rejected(self):
         ctx = scenario_context()
@@ -192,16 +195,15 @@ class TestBuildDataset:
             RoleLabel(user_id="e", snapshot_index=1, role=Role.JOINING, community_id=1),
             RoleLabel(user_id="a", snapshot_index=1, role=Role.PREVIOUS, community_id=0),
         ]
-        rows = build_dataset(labels, Task.JOIN_VS_PREVIOUS, ctx)
-        e_rows = [r for r in rows if r.user_id == "e"]
-        assert len(e_rows) == 1
-        assert e_rows[0].label == 1
+        keys, y, _ = build_dataset(labels, Task.JOIN_VS_PREVIOUS, ctx)
+        assert keys == [("a", 1), ("e", 1)]
+        assert y.tolist() == [0, 1]
 
 
 def test_dataset_csv_header_and_order():
     ctx = scenario_context()
-    rows = build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
-    out = dataset_csv(rows)
+    out = dataset_csv(Task.LEAVE_VS_STAY,
+                      *build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx))
     lines = out.strip().splitlines()
     assert lines[0] == "task,snapshot_index,user_id,label," + ",".join(FEATURE_NAMES)
     assert len(lines) == 1 + 4
@@ -209,12 +211,16 @@ def test_dataset_csv_header_and_order():
 
 
 def reference_features(posts, ctx, user, snapshot_index):
-    """The per-post assembly that the activity index replaced: the user's posts
-    sorted by (time, input position), the history found with bisect_left on
-    their times, and the prior snapshots read off the graph nodes."""
+    """The per-post assembly that the cell columns replaced, as a tuple in
+    FEATURE_NAMES order: the user's posts sorted by (time, input position), the
+    history found with bisect_left on their times, the prior snapshots read off
+    the graph nodes, and centrality and modularity computed here per graph."""
     measures = {p.post_id: text_measures(p.body, LEX, PATTERNS) for p in posts}
     entry = sorted((p.created_at, pos, p) for pos, p in enumerate(posts) if p.user_id == user)
     snapshots = sorted(k for k, g in ctx.graphs.items() if user in g.nodes)
+    closeness, betweenness = {}, {}
+    for k, g in ctx.graphs.items():
+        closeness[k], betweenness[k] = centrality_all(g)
     window = ctx.windows[snapshot_index]
     in_window = [p for ts, _, p in entry if window.start <= ts < window.end]
     sentiment = sum(measures[p.post_id].sentiment for p in in_window)
@@ -236,19 +242,19 @@ def reference_features(posts, ctx, user, snapshot_index):
 
     prior_snaps = [j for j in snapshots if j < snapshot_index]
     if prior_snaps:
-        avg_clo = sum(ctx.closeness[j][user] for j in prior_snaps) / len(prior_snaps)
-        avg_bet = sum(ctx.betweenness[j][user] for j in prior_snaps) / len(prior_snaps)
-        last_clo = ctx.closeness[prior_snaps[-1]][user]
-        last_bet = ctx.betweenness[prior_snaps[-1]][user]
+        avg_clo = sum(closeness[j][user] for j in prior_snaps) / len(prior_snaps)
+        avg_bet = sum(betweenness[j][user] for j in prior_snaps) / len(prior_snaps)
+        last_clo = closeness[prior_snaps[-1]][user]
+        last_bet = betweenness[prior_snaps[-1]][user]
     else:
         avg_clo = avg_bet = last_clo = last_bet = 0.0
-    return FeatureVector(
+    return (
         float(sentiment), float(cognition), float(intent),
-        ctx.closeness[snapshot_index].get(user, 0.0),
-        ctx.betweenness[snapshot_index].get(user, 0.0),
+        closeness[snapshot_index][user], betweenness[snapshot_index][user],
         float(n_before), avg_sent, avg_cog, avg_int, avg_clo, avg_bet,
         float(last_sent), float(last_cog), float(last_int), last_clo, last_bet,
-        last_activity, ctx.snapshot_modularity[snapshot_index])
+        last_activity,
+        modularity(ctx.graphs[snapshot_index], ctx.communities.get(snapshot_index, [])))
 
 
 # hours on a 6-hour grid over 4 days: shared timestamps are common, and with
@@ -262,18 +268,34 @@ _posts = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(_posts, st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+# c first posts in window 1, with no history
+@example([("a", "t1", 0, "happy"), ("b", "t1", 6, "stone"), ("a", "t2", 30, "thinking i will"),
+          ("c", "t2", 36, "happy happy think")], 1, random.Random(0))
+# a posts in windows 0 and 2 and skips window 1, where only b posts
+@example([("a", "t1", 0, "happy happy think"), ("a", "t1", 12, "thinking i will"),
+          ("b", "t2", 6, "stone"), ("b", "t2", 30, "happy"), ("a", "t3", 48, "stone"),
+          ("b", "t3", 54, "thinking i will")], 1, random.Random(0))
+# window 1 holds no post: a graph with no node between two with nodes
+@example([("a", "t1", 0, "happy"), ("b", "t1", 18, "thinking i will"),
+          ("a", "t2", 48, "happy happy think"), ("c", "t2", 54, "stone")], 1, random.Random(0))
 def test_assemble_features_matches_per_post_reference(spec, window_days, rnd):
     posts = [make_post(f"p{i}", thread, user, minutes=60 * hour, body=body)
              for i, (user, thread, hour, body) in enumerate(spec)]
     rnd.shuffle(posts)
     ctx = make_context(posts, window_days=window_days)
+    keys = [(user, k) for k, graph in ctx.graphs.items() for user in sorted(graph.nodes)]
+    X = assemble_features(ctx, keys)
+    assert X.shape == (len(keys), len(FEATURE_NAMES))
+    for (user, k), row in zip(keys, X.tolist()):
+        want = reference_features(posts, ctx, user, k)
+        for name, a, b in zip(FEATURE_NAMES, row, want):
+            assert a == b, (name, user, k)
+    n_windows = len(ctx.windows)
     for k, graph in ctx.graphs.items():
-        for user in sorted(graph.nodes):
-            got = astuple(assemble_features(ctx, user, k))
-            want = astuple(reference_features(posts, ctx, user, k))
-            for name, a, b in zip(FEATURE_NAMES, got, want):
-                assert a == b, (name, user, k)
         for user in sorted(set("abcde") - graph.nodes.keys()):
             with pytest.raises(ForumFluxError):
-                assemble_features(ctx, user, k)
-
+                assemble_features(ctx, [(user, k)])
+    for user, _ in keys:  # user * n_windows + snapshot would alias a neighbouring cell
+        for snap in (-1, n_windows):
+            with pytest.raises(ForumFluxError, match="has no activity"):
+                assemble_features(ctx, [(user, snap)])

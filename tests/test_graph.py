@@ -7,10 +7,10 @@ import pytest
 
 from forumflux import _kernels, graph as graph_mod
 from forumflux.errors import ParseError
-from forumflux.graph import (SnapshotWindow, build_graph, build_windows, centrality_all,
-                             edges_csv, graphs_from_csv, window_graphs, window_index)
+from forumflux.graph import (SnapshotWindow, build_graph, build_windows, edges_csv,
+                             graphs_from_csv, window_graphs, window_index)
 
-from conftest import T0, make_graph, make_post, neighbors
+from conftest import T0, centrality_all, make_graph, make_post, neighbors
 
 UTC = timezone.utc
 

@@ -331,10 +331,9 @@ def test_no_signal_distributions_indistinguishable():
     ctx = feature_context(posts, 24, lexifeat.default_lexicon(),
                           lexifeat.default_intent_patterns(), community.PropinquityConfig())
     from forumflux.evolution import Task, label_all
-    examples = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
-    assert len(examples) >= 1000
+    _, y, X = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
+    assert len(y) >= 1000
     for feature in ("cognition", "connectiveness"):
-        leavers = [getattr(e.features, feature) for e in examples if e.label == 1]
-        stayers = [getattr(e.features, feature) for e in examples if e.label == 0]
-        _, p_value = sps.ks_2samp(leavers, stayers)
+        column = X[:, featureset.FEATURE_NAMES.index(feature)]
+        _, p_value = sps.ks_2samp(column[y == 1], column[y == 0])
         assert p_value > 0.01
