@@ -1,7 +1,10 @@
 """Cross-snapshot community matching and the four user roles.
 
 Each community at snapshot t is matched to the previous-snapshot community
-with maximum member overlap (ties to the lowest previous community_id).
+with maximum member overlap (ties to the lowest previous community_id). The
+overlaps come from a member lookup: each child member counts once for every
+previous community that holds it, so the cost is linear in the members and
+overlapping communities are accepted.
 Joining/Previous labels require strictly more than half of the current
 community to come from the parent; Leaving/Staying labels require at least
 half of the parent to persist into the child. The strict/non-strict asymmetry
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,15 +44,6 @@ ROLE_COLUMNS = ["snapshot_index", "user_id", "role", "community_id"]
 
 
 @dataclass(frozen=True)
-class CommunityMatch:
-    child: object            # Community at snapshot t
-    parent: object           # Community at snapshot t-1, or None
-    overlap: int
-    persistence: float       # overlap / |child|
-    continuity: float        # overlap / |parent|
-
-
-@dataclass(frozen=True)
 class RoleLabel:
     user_id: str
     snapshot_index: int      # the current snapshot t of the pair (t-1, t)
@@ -56,37 +51,36 @@ class RoleLabel:
     community_id: int        # child community for Joining/Previous, parent for Leaving/Staying
 
 
-def match_communities(current, previous):
-    """Match each current community to its maximum-overlap predecessor: the
-    first largest overlap in community_id order, no parent at zero overlap."""
-    previous = sorted(previous, key=lambda c: c.community_id)
-    matches = []
-    for child in sorted(current, key=lambda c: c.community_id):
-        overlaps = [(len(child.members & parent.members), parent) for parent in previous]
-        overlap, parent = max((o for o in overlaps if o[0]), key=lambda o: o[0], default=(0, None))
-        persistence, continuity = ((overlap / len(child.members), overlap / len(parent.members))
-                                   if parent else (0.0, 0.0))
-        matches.append(CommunityMatch(child, parent, overlap, persistence, continuity))
-    return matches
+def label_roles(current, previous):
+    """Role labels for the consecutive snapshot pair (previous, current), sorted by role
+    and user.
 
-
-def label_roles(matches):
-    """Role labels for one consecutive snapshot pair, sorted by role and user.
-
-    Joining and Previous split the child's members when persistence > 0.5,
-    Leaving and Staying split the parent's when continuity >= 0.5; each
-    label carries the community it splits and the child's snapshot. Within a
-    task, a user duplicated across matches keeps the label from the lowest
-    child community_id.
+    Each child's parent is the previous community that holds the most of its members,
+    the lowest community_id among equals; a child that shares no member has none.
+    Joining and Previous split the child's members when persistence, overlap / |child|,
+    is > 0.5; Leaving and Staying split the parent's when continuity, overlap /
+    |parent|, is >= 0.5. Each label carries the community it splits and the child's
+    snapshot. Within a task, a user labelled through two children keeps the label from
+    the lower child community_id.
     """
+    parents = {parent.community_id: parent for parent in previous}
+    owners = {}  # previous member -> the ids of every community that holds it
+    for cid, parent in parents.items():
+        for user in parent.members:
+            owners.setdefault(user, []).append(cid)
     first = {}  # (task, user) -> its label
-    for match in sorted(matches, key=lambda m: m.child.community_id):
-        child, parent = match.child, match.parent
+    for child in sorted(current, key=lambda c: c.community_id):
+        overlaps = Counter(cid for user in child.members for cid in owners.get(user, ()))
+        if not overlaps:
+            continue
+        # explicit: most_common orders ties by insertion, which follows set iteration
+        parent_id = min(overlaps, key=lambda cid: (-overlaps[cid], cid))
+        parent, overlap = parents[parent_id], overlaps[parent_id]
         groups = []
-        if match.persistence > 0.5:
+        if overlap / len(child.members) > 0.5:
             groups += [(Role.JOINING, child.members - parent.members, child),
                        (Role.PREVIOUS, child.members & parent.members, child)]
-        if match.continuity >= 0.5:
+        if overlap / len(parent.members) >= 0.5:
             groups += [(Role.LEAVING, parent.members - child.members, parent),
                        (Role.STAYING, child.members & parent.members, parent)]
         for role, users, community in groups:
@@ -103,9 +97,8 @@ def label_all(communities_by_snapshot):
     for prev_idx, cur_idx in zip(indices, indices[1:]):
         if cur_idx != prev_idx + 1:
             continue
-        matches = match_communities(communities_by_snapshot[cur_idx],
-                                    communities_by_snapshot[prev_idx])
-        labels.extend(label_roles(matches))
+        labels.extend(label_roles(communities_by_snapshot[cur_idx],
+                                  communities_by_snapshot[prev_idx]))
     return labels
 
 

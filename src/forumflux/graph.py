@@ -62,8 +62,8 @@ class InteractionGraph:
 def build_windows(first_post, last_post, window_days):
     """Contiguous window_days-wide windows (window_days >= 1) covering
     [first_post, last_post]; none when first_post is after last_post."""
-    width = timedelta(days=window_days)
     try:
+        width = timedelta(days=window_days)
         return [SnapshotWindow(i, first_post + i * width, first_post + (i + 1) * width)
                 for i in range(window_index(first_post, last_post, width) + 1)]
     except OverflowError:

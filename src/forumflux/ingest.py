@@ -264,12 +264,17 @@ def generate_synthetic_forum(seed, params=SynthParams()):
     Users are split into disjoint community pools. Each window, half of a
     community's active roster rotates out and an equal number rotates in.
     Users about to rotate out ("leavers") post in fewer threads and use fewer
-    cognition words than stayers, with the gap scaled by
-    churn_signal_strength. No labels are written anywhere: the signal lives
+    cognition words than stayers, with the gap scaled by churn_signal_strength
+    up to 1, the full signal. No labels are written anywhere: the signal lives
     only in post text and thread co-participation, and the pipeline has to
-    recover it.
+    recover it. The calendar must end by year 9999.
     """
     p = params
+    try:
+        _SYNTH_EPOCH + timedelta(days=p.n_windows * p.window_days)
+    except OverflowError:
+        raise ConfigError(f"config keys 'window_days' and 'synth_n_windows': {p.n_windows} "
+                          f"windows of {p.window_days} days end after year 9999") from None
     rng = np.random.default_rng(seed)
     sentiment_words, cognition_words, phrases = _signal_words()
 
@@ -294,10 +299,10 @@ def generate_synthetic_forum(seed, params=SynthParams()):
             threads = [f"t{c:02d}_{w:03d}_{k}" for k in range(threads_per_cw)]
             for user in roster:
                 is_leaver = next_roster is not None and user not in next_roster
-                s = p.churn_signal_strength if is_leaver else 0.0
+                s = min(p.churn_signal_strength, 1.0) if is_leaver else 0.0
                 n_threads_user = max(1, min(threads_per_cw, round(4 - 3 * s)))
                 chosen = rng.choice(threads_per_cw, size=n_threads_user, replace=False)
-                cognition_p = base_cognition_p * max(0.0, 1.0 - s)
+                cognition_p = base_cognition_p * (1.0 - s)
                 for t_idx in chosen:
                     n_posts = 1 + (1 if rng.random() < 0.5 * (1.0 - s) else 0)
                     for _ in range(n_posts):

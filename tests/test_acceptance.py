@@ -17,7 +17,7 @@ from forumflux import community as community_mod
 from forumflux import featureset, graph as graph_mod, ingest, lexifeat, model
 from forumflux.cli import main as cli_main
 from forumflux.community import PropinquityConfig, detect_communities, modularity
-from forumflux.evolution import Role, Task, label_all, label_roles, match_communities
+from forumflux.evolution import Role, Task, label_all, label_roles
 from forumflux.graph import build_windows
 
 from conftest import (TWO_TRIANGLES_BRIDGE, centrality_all, feature_context, make_community,
@@ -106,16 +106,15 @@ def test_criterion_5_role_rules():
     with Timer() as t:
         previous = [make_community("abcd", 0, snapshot_index=0)]
         current = [make_community("abce", 0, snapshot_index=1)]
-        labels = label_roles(match_communities(current, previous))
+        labels = label_roles(current, previous)
         by_role = {}
         for l in labels:
             by_role.setdefault(l.role, set()).add(l.user_id)
         assert by_role == {Role.JOINING: {"e"}, Role.PREVIOUS: {"a", "b", "c"},
                            Role.LEAVING: {"d"}, Role.STAYING: {"a", "b", "c"}}
         # persistence exactly 0.5: no Joining; continuity exactly 0.5: Leaving/Staying
-        boundary = label_roles(match_communities(
-            [make_community("abxy", 0, snapshot_index=1)],
-            [make_community("abcd", 0, snapshot_index=0)]))
+        boundary = label_roles([make_community("abxy", 0, snapshot_index=1)],
+                               [make_community("abcd", 0, snapshot_index=0)])
         roles = {l.role for l in boundary}
         assert Role.JOINING not in roles and Role.PREVIOUS not in roles
         assert Role.LEAVING in roles and Role.STAYING in roles

@@ -160,6 +160,16 @@ def test_out_of_range_config_exits_before_any_stage_writes(tmp_path, line):
         assert not (tmp_path / "out").exists()
 
 
+def test_synth_calendar_past_year_9999_exits_1_before_writing(tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(SYNTH_CFG + "synth_n_windows = 12\nwindow_days = 250000\n")
+    proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet", "synth")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: config keys 'window_days' and 'synth_n_windows': 12 windows "
+                           "of 250000 days end after year 9999\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_1(tmp_path, config_path):
     proc = run_module("--config", config_path, "--out", str(tmp_path / "out"), "--quiet",
                       "--seed", "-1", "synth")
@@ -586,6 +596,17 @@ class TestArtifactInterface:
         err = capsys.readouterr().err
         assert err == "error: the 24-day window calendar ends after year 9999\n"
         assert not (out / "graphs").exists()
+
+    # 1000000000 days is also beyond the range of a timedelta
+    @pytest.mark.parametrize("days", [999999999, 1000000000])
+    def test_window_too_wide_for_the_calendar_fails_snapshots(self, tmp_path, capsys, days):
+        write_corpus(tmp_path, small_corpus())
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(SYNTH_CFG + f"input = {tmp_path / 'posts.jsonl'}\nwindow_days = {days}\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                       "run") == 2
+        assert capsys.readouterr().err == (f"error: stage snapshots: the {days}-day window "
+                                           "calendar ends after year 9999\n")
 
     def test_features_rejects_graphs_from_another_calendar(self, tmp_path, config_path,
                                                            capsys):

@@ -314,6 +314,19 @@ class TestSyntheticForum:
         assert len(build_windows(stats.first_post, stats.last_post, SMALL.window_days)) \
             == SMALL.n_windows
 
+    @pytest.mark.parametrize("signal", [2.0, 1e308])
+    def test_any_signal_from_one_up_plants_the_full_signal(self, signal):
+        assert (ingest.generate_synthetic_forum(3, replace(SMALL, churn_signal_strength=signal))
+                == ingest.generate_synthetic_forum(3, SMALL))
+
+    def test_calendar_past_year_9999_rejected(self):
+        # 12 windows of 240,000 days from 2020 end in 9905; of 250,000, after year 9999
+        assert ingest.generate_synthetic_forum(1, replace(SMALL, n_windows=12,
+                                                          window_days=240_000))
+        with pytest.raises(ConfigError, match="'window_days' and 'synth_n_windows': 12 "
+                                              "windows of 250000 days end after year 9999"):
+            ingest.generate_synthetic_forum(1, replace(SMALL, n_windows=12, window_days=250_000))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             ingest.generate_synthetic_forum(1, SynthParams(n_windows=0))
