@@ -162,12 +162,12 @@ def _parse(key, default, text):
 
 def _read(path, producer, parse, *args, error=ParseError):
     """parse(file, *args) over the file at path, as bytes for ingest.parse_posts and as
-    UTF-8 text otherwise. A missing file names producer, the stage that writes it, if
-    any; every other failure to open, decode or parse it raises error naming the file
-    (a ForumFluxError keeps its type)."""
+    UTF-8 text, a leading byte order mark dropped, otherwise. A missing file names
+    producer, the stage that writes it, if any; every other failure to open, decode or
+    parse it raises error naming the file (a ForumFluxError keeps its type)."""
     try:
         fh = (open(path, "rb") if parse is ingest.parse_posts
-              else open(path, newline="", encoding="utf-8"))
+              else open(path, newline="", encoding="utf-8-sig"))
     except OSError as exc:  # missing, a directory, or unreadable
         if producer and isinstance(exc, FileNotFoundError):
             raise ParseError(f"missing artifact {path}; run '{producer}' first")

@@ -72,10 +72,12 @@ def detect_communities(graph, config=PropinquityConfig()):
     adj = np.zeros((len(order), len(order)), dtype=bool)
     adj[np.repeat(np.arange(len(order)), np.diff(graph.indptr)), graph.indices] = True
     seen_topologies = {np.packbits(adj).tobytes()}
+    # P <= n - 1, so thresholds capped at n decide alike and cast to float32 without overflow
+    alpha, beta = min(config.alpha, len(order)), min(config.beta, len(order))
     for _ in range(config.max_iterations):
         a = adj.astype(np.float32)
         p = a @ a + a
-        adj = np.where(adj, p > config.alpha, p >= config.beta)
+        adj = np.where(adj, p > alpha, p >= beta)
         np.fill_diagonal(adj, False)
         fingerprint = np.packbits(adj).tobytes()
         if fingerprint in seen_topologies:

@@ -35,34 +35,33 @@ DATASET_COLUMNS = ["task", "snapshot_index", "user_id", "label"] + FEATURE_NAMES
 
 
 class FeatureContext:
-    """Everything feature assembly needs, precomputed per corpus.
+    """Everything feature assembly needs, precomputed per corpus as cell arrays.
 
-    Holds the windows, graphs, detected communities and, per window, the
-    modularity of its partition. Posts are bucketed by `graph.posts_by_window`;
-    `users` numbers the posting users in ascending id order, and the cells are
-    numbered in (user, window) order, `cells` holding user * n_windows + window.
-    Per cell it keeps the post count, the (sentiment, cognition, intent) sums,
-    the text measures and the seconds since the corpus start of the cell's
-    last post, the user's (closeness, betweenness) in the window's graph, and
-    `rank`, the cell's place among its user's cells.
+    Keeps `n_windows`, the window starts and, per window, the modularity of
+    its partition; the windows, graphs and communities are not kept. Posts are
+    bucketed by `graph.posts_by_window`; `users` numbers the posting users in
+    ascending id order, and the cells are numbered in (user, window) order,
+    `cells` holding user * n_windows + window. Per cell it keeps the post
+    count, the (sentiment, cognition, intent) sums, the text measures and the
+    seconds since the corpus start of the cell's last post, the user's
+    (closeness, betweenness) in the window's graph, and `rank`, the cell's
+    place among its user's cells.
     The users who post in each window must be exactly that window's graph nodes.
     """
 
     def __init__(self, posts, windows, graphs, communities_by_snapshot,
                  lexicon, patterns):
-        self.windows = list(windows)
-        self.graphs = {g.snapshot_index: g for g in graphs}
-        self.communities = communities_by_snapshot
-        n_windows, first = len(self.windows), self.windows[0].start
-        buckets = graph_mod.posts_by_window(sorted(posts, key=lambda p: p.created_at),
-                                            self.windows)
+        windows = list(windows)
+        graphs = {g.snapshot_index: g for g in graphs}
+        self.n_windows = n_windows = len(windows)
+        first = windows[0].start
+        buckets = graph_mod.posts_by_window(sorted(posts, key=lambda p: p.created_at), windows)
         posts = [p for bucket in buckets for p in bucket]  # still in time order
         self.users = {u: i for i, u in enumerate(sorted({p.user_id for p in posts}))}
         user = np.fromiter((self.users[p.user_id] for p in posts), np.int64, len(posts))
         window = np.repeat(np.arange(n_windows), [len(b) for b in buckets])
         self.cells, cell = np.unique(user * n_windows + window, return_inverse=True)
-        text = np.array([(m.sentiment, m.cognition, m.intent) for m in
-                         (text_measures(p.body, lexicon, patterns) for p in posts)])
+        text = np.array([text_measures(p.body, lexicon, patterns) for p in posts])
         self.count = np.bincount(cell)
         self.text = np.column_stack([np.bincount(cell, weights=col) for col in text.T])
         last = np.zeros(self.cells.size, np.int64)
@@ -70,12 +69,12 @@ class FeatureContext:
         self.last_text = text[last]
         self.last_seconds = np.array([(posts[j].created_at - first).total_seconds()
                                       for j in last.tolist()])
-        self.start_seconds = np.array([(w.start - first).total_seconds() for w in self.windows])
+        self.start_seconds = np.array([(w.start - first).total_seconds() for w in windows])
 
         cell_user, cell_window = np.divmod(self.cells, n_windows)
         self.centrality = np.zeros((self.cells.size, 2))  # closeness, betweenness
         for k in range(n_windows):
-            g, in_k = self.graphs[k], cell_window == k
+            g, in_k = graphs[k], cell_window == k
             if cell_user[in_k].tolist() != [self.users.get(u) for u in g.nodes]:
                 raise ParseError("the graphs do not hold the users who post in each window: "
                                  "they were built on another window calendar; rerun "
@@ -83,7 +82,7 @@ class FeatureContext:
             self.centrality[in_k] = np.column_stack(_kernels.centrality_csr(g.indptr,
                                                                             g.indices))
         self.modularity = np.array([
-            community_mod.modularity(self.graphs[k], self.communities.get(k, []))
+            community_mod.modularity(graphs[k], communities_by_snapshot.get(k, []))
             for k in range(n_windows)])
         # each cell's place among its user's cells, 0 at the user's first window
         self.rank = np.arange(self.cells.size) - np.searchsorted(cell_user, cell_user)
@@ -96,7 +95,7 @@ def assemble_features(ctx, keys):
     would add them. A key whose user posted nowhere, or not in its window, is
     a ParseError naming the first such key.
     """
-    n_windows = len(ctx.windows)
+    n_windows = ctx.n_windows
     code = np.array([ctx.users[user] * n_windows + snap
                      if user in ctx.users and 0 <= snap < n_windows else -1
                      for user, snap in keys], dtype=np.int64)

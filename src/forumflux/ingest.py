@@ -192,6 +192,8 @@ class SynthParams:
         for name in ("n_threads", "n_windows", "window_days"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_threads > 2**63 - 1:  # the generator draws thread indices as int64
+            raise ConfigError(f"n_threads must be at most 2**63 - 1, got {self.n_threads}")
         if self.n_users < 6:
             # fewer than 6 users leave a community roster too small to rotate half of it
             raise ConfigError(f"n_users must be at least 6, got {self.n_users}")
@@ -296,21 +298,20 @@ def generate_synthetic_forum(seed, params=SynthParams()):
         for c in range(n_comm):
             roster = rosters[c][w]
             next_roster = set(rosters[c][w + 1]) if w + 1 < p.n_windows else None
-            threads = [f"t{c:02d}_{w:03d}_{k}" for k in range(threads_per_cw)]
             for user in roster:
                 is_leaver = next_roster is not None and user not in next_roster
                 s = min(p.churn_signal_strength, 1.0) if is_leaver else 0.0
                 n_threads_user = max(1, min(threads_per_cw, round(4 - 3 * s)))
                 chosen = rng.choice(threads_per_cw, size=n_threads_user, replace=False)
                 cognition_p = base_cognition_p * (1.0 - s)
-                for t_idx in chosen:
+                for k in chosen.tolist():
                     n_posts = 1 + (1 if rng.random() < 0.5 * (1.0 - s) else 0)
                     for _ in range(n_posts):
                         offset = 0 if not anchored else int(rng.integers(0, window_seconds))
                         anchored = True
                         posts.append(PostRecord(
                             post_id=f"p{seq:06d}",
-                            thread_id=threads[int(t_idx)],
+                            thread_id=f"t{c:02d}_{w:03d}_{k}",
                             user_id=user,
                             created_at=window_start + timedelta(seconds=offset),
                             body=_post_body(rng, cognition_p, sentiment_words,

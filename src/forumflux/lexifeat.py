@@ -129,15 +129,8 @@ def count_intents(tokens, patterns):
     return count
 
 
-@dataclass(frozen=True)
-class TextMeasures:
-    sentiment: int
-    cognition: int
-    intent: int
-
-
 def text_measures(body, lexicon, patterns):
-    """Sentiment/cognition/intent counts for one post body; a token counts once per group."""
+    """(sentiment, cognition, intent) counts of one post body; a token counts once per group."""
     tokens = tokenize(body)
     hits = lexicon._hits
     sentiment = cognition = 0
@@ -150,4 +143,4 @@ def text_measures(body, lexicon, patterns):
         sentiment += hit[0]
         cognition += hit[1]
     intent = 0 if patterns._by_first.keys().isdisjoint(tokens) else count_intents(tokens, patterns)
-    return TextMeasures(sentiment=sentiment, cognition=cognition, intent=intent)
+    return sentiment, cognition, intent

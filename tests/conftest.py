@@ -55,12 +55,13 @@ def neighbors(graph):
 
 
 def feature_context(posts, window_days, lexicon, patterns, prop_config):
-    """Windows, graphs and communities of a corpus, as the pipeline stages build them."""
+    """(FeatureContext, communities by snapshot index) of a corpus, with the windows,
+    graphs and communities built as the pipeline stages build them."""
     times = [p.created_at for p in posts]
     windows = build_windows(min(times), max(times), window_days)
     graphs = window_graphs(posts, windows)
     communities = {g.snapshot_index: detect_communities(g, prop_config) for g in graphs}
-    return FeatureContext(posts, windows, graphs, communities, lexicon, patterns)
+    return FeatureContext(posts, windows, graphs, communities, lexicon, patterns), communities
 
 
 def centrality_all(graph):

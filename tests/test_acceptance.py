@@ -166,10 +166,10 @@ def test_criterion_7_separable_data():
 def _pipeline_f_measure(strength, seed=7, repeats=20):
     posts = ingest.generate_synthetic_forum(
         seed, ingest.SynthParams(churn_signal_strength=strength))
-    ctx = feature_context(
+    ctx, communities = feature_context(
         posts, 24, lexifeat.default_lexicon(), lexifeat.default_intent_patterns(),
         PropinquityConfig())
-    dataset = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
+    dataset = featureset.build_dataset(label_all(communities), Task.LEAVE_VS_STAY, ctx)
     X, y = featureset.dataset_from_csv(io.StringIO(
         featureset.dataset_csv(Task.LEAVE_VS_STAY, *dataset), newline=""))
     rep = model.monte_carlo_cv(X, y, [model.table2_presets()[0]],

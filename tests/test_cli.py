@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import forumflux
 from forumflux import cli, featureset, graph as graph_mod, ingest, model
 from forumflux.cli import main
+from forumflux.errors import ConfigError
 
 from conftest import serialize
 
@@ -168,6 +169,36 @@ def test_synth_calendar_past_year_9999_exits_1_before_writing(tmp_path):
     assert proc.stderr == ("error: config keys 'window_days' and 'synth_n_windows': 12 windows "
                            "of 250000 days end after year 9999\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_n_threads_beyond_int64_exits_1_before_writing(tmp_path):
+    message = ("config key 'synth_n_threads': n_threads must be at most 2**63 - 1, "
+               "got 9223372036854775808")
+    # checked in-process first: a generator that accepts this many threads may never return
+    with pytest.raises(ConfigError) as raised:
+        cli.load_config(None, overrides=[("synth_n_threads", str(2**63))])
+    assert str(raised.value) == message
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(SYNTH_CFG + f"synth_n_threads = {2**63}\n")
+    proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet", "synth")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_word_lists_and_config_may_start_with_a_byte_order_mark(tmp_path):
+    lexicon, intents = tmp_path / "lexicon.tsv", tmp_path / "intents.txt"
+    config = f"seed = 5\nlexicon = {lexicon}\nintents = {intents}\n"
+    loaded = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        lexicon.write_bytes(bom + b"happy\tposemo\nsad\tsadness\n")
+        intents.write_bytes(bom + b"i will\nwe shall\n")
+        (tmp_path / "bom.cfg").write_bytes(bom + config.encode())
+        cfg = cli.load_config(str(tmp_path / "bom.cfg"))
+        assert cfg.seed == 5
+        loaded.append((cfg.lexicon.entries, cfg.intents.phrases))
+    assert loaded[1] == loaded[0] == ((("happy", "posemo"), ("sad", "sadness")),
+                                      (("i", "will"), ("we", "shall")))
 
 
 def test_negative_seed_flag_exits_1(tmp_path, config_path):

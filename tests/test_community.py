@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -195,6 +196,16 @@ class TestDetectCommunities:
                 survivors.append(kept)
             for smaller_alpha, larger_alpha in zip(survivors, survivors[1:]):
                 assert larger_alpha <= smaller_alpha
+
+    @pytest.mark.parametrize("huge, large", [((1, 10**39), (1, 10**6)),
+                                             ((10**39, 10**39 + 1), (10**6, 10**6 + 1))])
+    def test_thresholds_beyond_float32_decide_as_large_ones(self, huge, large):
+        # P <= n - 1, so 10**6 is already beyond any P; 10**39 overflows a float32 cast
+        g = make_graph(TWO_TRIANGLES_BRIDGE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (detect_communities(g, PropinquityConfig(*huge))
+                    == detect_communities(g, PropinquityConfig(*large)))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

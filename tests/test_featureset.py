@@ -21,11 +21,16 @@ LEX = Lexicon(entries=(("happy", "posemo"), ("think*", "cogmech")))
 PATTERNS = IntentPatterns(phrases=(("i", "will"),))
 
 
-def make_context(posts, communities_by_snapshot=None, window_days=1):
+def context_inputs(posts, window_days=1):
+    """(windows, graphs by snapshot index) of posts, as make_context builds them."""
     times = [p.created_at for p in posts]
     windows = build_windows(min(times), max(times), window_days)
-    return FeatureContext(posts, windows, window_graphs(posts, windows),
-                          communities_by_snapshot or {},
+    return windows, {g.snapshot_index: g for g in window_graphs(posts, windows)}
+
+
+def make_context(posts, communities_by_snapshot=None, window_days=1):
+    windows, graphs = context_inputs(posts, window_days)
+    return FeatureContext(posts, windows, graphs.values(), communities_by_snapshot or {},
                           LEX, PATTERNS)
 
 
@@ -155,7 +160,7 @@ class TestAssembleFeatures:
 
 
 def scenario_context():
-    """Communities {a,b,c,d} at snapshot 0 -> {a,b,c,e} at snapshot 1."""
+    """(ctx, communities): {a,b,c,d} at snapshot 0 -> {a,b,c,e} at snapshot 1."""
     posts = day_posts([
         ("p1", "t1", "a", 0.1, "x"), ("p2", "t1", "b", 0.2, "x"),
         ("p3", "t1", "c", 0.3, "x"), ("p4", "t1", "d", 0.4, "x"),
@@ -166,13 +171,13 @@ def scenario_context():
         0: [make_community("abcd", 0, snapshot_index=0)],
         1: [make_community("abce", 0, snapshot_index=1)],
     }
-    return make_context(posts, communities)
+    return make_context(posts, communities), communities
 
 
 class TestBuildDataset:
     def test_scenario_counts(self):
-        ctx = scenario_context()
-        labels = label_all(ctx.communities)
+        ctx, communities = scenario_context()
+        labels = label_all(communities)
         join_keys, join_y, join_X = build_dataset(labels, Task.JOIN_VS_PREVIOUS, ctx)
         leave_keys, leave_y, leave_X = build_dataset(labels, Task.LEAVE_VS_STAY, ctx)
         assert join_keys == [("a", 1), ("b", 1), ("c", 1), ("e", 1)]
@@ -183,13 +188,13 @@ class TestBuildDataset:
         np.testing.assert_array_equal(leave_X, assemble_features(ctx, leave_keys))
 
     def test_degenerate_dataset_rejected(self):
-        ctx = scenario_context()
-        stay_only = [l for l in label_all(ctx.communities) if l.role is Role.STAYING]
+        ctx, communities = scenario_context()
+        stay_only = [l for l in label_all(communities) if l.role is Role.STAYING]
         with pytest.raises(DegenerateDatasetError):
             build_dataset(stay_only, Task.LEAVE_VS_STAY, ctx)
 
     def test_duplicate_user_positive_precedence(self):
-        ctx = scenario_context()
+        ctx, _ = scenario_context()
         labels = [
             RoleLabel(user_id="e", snapshot_index=1, role=Role.PREVIOUS, community_id=0),
             RoleLabel(user_id="e", snapshot_index=1, role=Role.JOINING, community_id=1),
@@ -201,39 +206,37 @@ class TestBuildDataset:
 
 
 def test_dataset_csv_header_and_order():
-    ctx = scenario_context()
+    ctx, communities = scenario_context()
     out = dataset_csv(Task.LEAVE_VS_STAY,
-                      *build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx))
+                      *build_dataset(label_all(communities), Task.LEAVE_VS_STAY, ctx))
     lines = out.strip().splitlines()
     assert lines[0] == "task,snapshot_index,user_id,label," + ",".join(FEATURE_NAMES)
     assert len(lines) == 1 + 4
     assert len(FEATURE_NAMES) == featureset.N_FEATURES == 18
 
 
-def reference_features(posts, ctx, user, snapshot_index):
+def reference_features(posts, windows, graphs, user, snapshot_index):
     """The per-post assembly that the cell columns replaced, as a tuple in
-    FEATURE_NAMES order: the user's posts sorted by (time, input position), the
-    history found with bisect_left on their times, the prior snapshots read off
-    the graph nodes, and centrality and modularity computed here per graph."""
+    FEATURE_NAMES order, with no communities: the user's posts sorted by (time,
+    input position), the history found with bisect_left on their times, the
+    prior snapshots read off the graph nodes, and centrality and modularity
+    computed here per graph (graphs by snapshot index)."""
     measures = {p.post_id: text_measures(p.body, LEX, PATTERNS) for p in posts}
     entry = sorted((p.created_at, pos, p) for pos, p in enumerate(posts) if p.user_id == user)
-    snapshots = sorted(k for k, g in ctx.graphs.items() if user in g.nodes)
+    snapshots = sorted(k for k, g in graphs.items() if user in g.nodes)
     closeness, betweenness = {}, {}
-    for k, g in ctx.graphs.items():
+    for k, g in graphs.items():
         closeness[k], betweenness[k] = centrality_all(g)
-    window = ctx.windows[snapshot_index]
+    window = windows[snapshot_index]
     in_window = [p for ts, _, p in entry if window.start <= ts < window.end]
-    sentiment = sum(measures[p.post_id].sentiment for p in in_window)
-    cognition = sum(measures[p.post_id].cognition for p in in_window)
-    intent = sum(measures[p.post_id].intent for p in in_window)
+    sentiment, cognition, intent = (sum(measures[p.post_id][i] for p in in_window)
+                                    for i in range(3))
 
     n_before = bisect_left([ts for ts, _, _ in entry], window.start)
     if n_before > 0:
         prior = [measures[entry[k][2].post_id] for k in range(n_before)]
-        avg_sent = sum(m.sentiment for m in prior) / n_before
-        avg_cog = sum(m.cognition for m in prior) / n_before
-        avg_int = sum(m.intent for m in prior) / n_before
-        last_sent, last_cog, last_int = prior[-1].sentiment, prior[-1].cognition, prior[-1].intent
+        avg_sent, avg_cog, avg_int = (sum(m[i] for m in prior) / n_before for i in range(3))
+        last_sent, last_cog, last_int = prior[-1]
         last_activity = (window.start - entry[n_before - 1][0]).total_seconds() / SECONDS_PER_DAY
     else:
         avg_sent = avg_cog = avg_int = last_sent = last_cog = last_int = 0.0
@@ -254,7 +257,7 @@ def reference_features(posts, ctx, user, snapshot_index):
         float(n_before), avg_sent, avg_cog, avg_int, avg_clo, avg_bet,
         float(last_sent), float(last_cog), float(last_int), last_clo, last_bet,
         last_activity,
-        modularity(ctx.graphs[snapshot_index], ctx.communities.get(snapshot_index, [])))
+        modularity(graphs[snapshot_index], []))
 
 
 # hours on a 6-hour grid over 4 days: shared timestamps are common, and with
@@ -282,16 +285,17 @@ def test_assemble_features_matches_per_post_reference(spec, window_days, rnd):
     posts = [make_post(f"p{i}", thread, user, minutes=60 * hour, body=body)
              for i, (user, thread, hour, body) in enumerate(spec)]
     rnd.shuffle(posts)
-    ctx = make_context(posts, window_days=window_days)
-    keys = [(user, k) for k, graph in ctx.graphs.items() for user in sorted(graph.nodes)]
+    windows, graphs = context_inputs(posts, window_days)
+    ctx = FeatureContext(posts, windows, graphs.values(), {}, LEX, PATTERNS)
+    keys = [(user, k) for k, graph in graphs.items() for user in sorted(graph.nodes)]
     X = assemble_features(ctx, keys)
     assert X.shape == (len(keys), len(FEATURE_NAMES))
     for (user, k), row in zip(keys, X.tolist()):
-        want = reference_features(posts, ctx, user, k)
+        want = reference_features(posts, windows, graphs, user, k)
         for name, a, b in zip(FEATURE_NAMES, row, want):
             assert a == b, (name, user, k)
-    n_windows = len(ctx.windows)
-    for k, graph in ctx.graphs.items():
+    n_windows = len(windows)
+    for k, graph in graphs.items():
         for user in sorted(set("abcde") - graph.nodes.keys()):
             with pytest.raises(ForumFluxError):
                 assemble_features(ctx, [(user, k)])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -333,6 +334,39 @@ class TestSyntheticForum:
         with pytest.raises(ConfigError):
             ingest.generate_synthetic_forum(1, SynthParams(churn_signal_strength=-0.5))
 
+    def test_n_threads_beyond_int64_rejected(self):
+        with pytest.raises(ConfigError, match=r"^n_threads must be at most 2\*\*63 - 1, "
+                                              r"got 9223372036854775808$"):
+            SynthParams(n_threads=2**63)
+
+    def test_memory_does_not_grow_with_n_threads(self):
+        # each user draws at most 4 of the million threads of a community-window
+        ingest.generate_synthetic_forum(0, SynthParams(n_users=6, n_windows=2))  # word lists
+        tracemalloc.start()
+        try:
+            posts = ingest.generate_synthetic_forum(
+                1, SynthParams(n_users=6, n_threads=10**6, n_windows=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert posts and peak < 1_000_000
+        # the largest n_threads as well; reached only once the bound above holds
+        assert ingest.generate_synthetic_forum(
+            1, SynthParams(n_users=6, n_threads=2**63 - 1, n_windows=2))
+
+    # (params, communities, threads per community-window)
+    @pytest.mark.parametrize("params, n_comm, per_cw", [
+        (SMALL, 2, 12), (SynthParams(n_users=6, n_threads=2, n_windows=3), 1, 3),
+        (SynthParams(n_users=90, n_threads=10**6, n_windows=2), 3, 166_666)])
+    def test_thread_ids_name_a_thread_of_their_community_window(self, params, n_comm, per_cw):
+        pool = 30 if params.n_users >= 30 else params.n_users
+        for p in ingest.generate_synthetic_forum(2, params):
+            c, w, k = map(int, re.fullmatch(r"t(\d{2})_(\d{3})_(0|[1-9]\d*)",
+                                            p.thread_id).groups())
+            assert c == int(p.user_id[1:]) // pool < n_comm
+            assert w == (p.created_at - ingest._SYNTH_EPOCH).days // params.window_days
+            assert k < per_cw
+
 
 def test_no_signal_distributions_indistinguishable():
     # With the signal off, users about to rotate out must be statistically
@@ -341,10 +375,11 @@ def test_no_signal_distributions_indistinguishable():
 
     from forumflux import community, featureset, lexifeat
     posts = ingest.generate_synthetic_forum(11, SynthParams(churn_signal_strength=0.0))
-    ctx = feature_context(posts, 24, lexifeat.default_lexicon(),
-                          lexifeat.default_intent_patterns(), community.PropinquityConfig())
+    ctx, communities = feature_context(posts, 24, lexifeat.default_lexicon(),
+                                       lexifeat.default_intent_patterns(),
+                                       community.PropinquityConfig())
     from forumflux.evolution import Task, label_all
-    _, y, X = featureset.build_dataset(label_all(ctx.communities), Task.LEAVE_VS_STAY, ctx)
+    _, y, X = featureset.build_dataset(label_all(communities), Task.LEAVE_VS_STAY, ctx)
     assert len(y) >= 1000
     for feature in ("cognition", "connectiveness"):
         column = X[:, featureset.FEATURE_NAMES.index(feature)]

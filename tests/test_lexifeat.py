@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from forumflux.errors import ConfigError
 from forumflux.lexifeat import (ALL_CATEGORIES, COGNITION_CATEGORIES, SENTIMENT_CATEGORIES,
-                                IntentPatterns, Lexicon, TextMeasures, count_intents,
+                                IntentPatterns, Lexicon, count_intents,
                                 default_intent_patterns, default_lexicon,
                                 load_intent_patterns, load_lexicon, text_measures,
                                 tokenize)
@@ -27,9 +27,9 @@ def reference_tokenize(body):
 def reference_text_measures(body, lexicon, patterns):
     """One count_category pass per category group, then the intent scan."""
     tokens = reference_tokenize(body)
-    return TextMeasures(sentiment=count_category(tokens, lexicon, SENTIMENT_CATEGORIES),
-                        cognition=count_category(tokens, lexicon, COGNITION_CATEGORIES),
-                        intent=count_intents(tokens, patterns))
+    return (count_category(tokens, lexicon, SENTIMENT_CATEGORIES),
+            count_category(tokens, lexicon, COGNITION_CATEGORIES),
+            count_intents(tokens, patterns))
 
 
 class TestTokenize:
@@ -148,11 +148,9 @@ def test_counts_additive_over_concatenation():
     a = "i am happy thinking stone"
     b = "sad wall i will go"
     patterns = IntentPatterns(phrases=(("i", "will"),))
-    for field in ("sentiment", "cognition", "intent"):
-        whole = getattr(text_measures(a + " " + b, SMALL_LEX, patterns), field)
-        parts = (getattr(text_measures(a, SMALL_LEX, patterns), field)
-                 + getattr(text_measures(b, SMALL_LEX, patterns), field))
-        assert whole == parts
+    whole = text_measures(a + " " + b, SMALL_LEX, patterns)
+    parts = zip(text_measures(a, SMALL_LEX, patterns), text_measures(b, SMALL_LEX, patterns))
+    assert whole == tuple(x + y for x, y in parts)
 
 
 @settings(max_examples=60, deadline=None)
