@@ -11,7 +11,9 @@ are built once, by `snapshots`, and read back from graphs/edges.csv; the
 window calendar is read from corpus_stats.json. `run` executes all stages in
 order and hands the posts `ingest` parsed to `snapshots` and `features`, which
 read posts.jsonl only when run alone; identical config + inputs produce a
-byte-identical artifact tree.
+byte-identical artifact tree. Each stage imports the modules it calls; those
+imported at the top load without numpy, so `ingest`, `snapshots`, `roles`,
+`report`, `--help` and a config error run without it.
 
 Exit codes: 0 success, 1 usage/config, 2 data error, 3 modeling error.
 """
@@ -29,13 +31,26 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import community as community_mod
-from . import evolution, featureset, graph as graph_mod, ingest, lexifeat, model
+from . import evolution, graph as graph_mod, ingest, lexifeat, report as report_mod
 from .errors import ConfigError, ForumFluxError, ParseError, TrainingError
 
 _FORMATS = ("jsonl", "csv")
 _WORD_LISTS = {"lexicon": lexifeat.load_lexicon, "intents": lexifeat.load_intent_patterns}
 _BALANCE = {"1": True, "true": True, "yes": True, "downsample": True,
             "0": False, "false": False, "no": False}
+
+
+@dataclass(frozen=True)
+class Hyper:
+    """The settings of one logistic-regression fit, `model.train`'s hyper."""
+    epochs: int = 500        # the most Newton steps a fit may take
+    l2_lambda: float = 0.01
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.l2_lambda <= 0:
+            raise ConfigError("l2_lambda must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +68,7 @@ class Config:
     balance: bool = False
     out: str = "out"
     propinquity: community_mod.PropinquityConfig = community_mod.PropinquityConfig()
-    hyper: model.Hyper = model.Hyper()
+    hyper: Hyper = Hyper()
     synth: ingest.SynthParams = ingest.SynthParams()
 
     def __post_init__(self):
@@ -269,6 +284,7 @@ def stage_roles(cfg, out_dir):
 
 
 def stage_features(cfg, out_dir, posts=None):
+    from . import featureset
     roles = out_dir / "roles.csv"
     labels = _read(roles, "roles", evolution.roles_from_csv)
     ctx = featureset.FeatureContext(
@@ -285,19 +301,20 @@ def stage_features(cfg, out_dir, posts=None):
 
 
 def stage_train(cfg, out_dir):
+    from . import featureset, model
     X, y = _read(out_dir / "dataset.csv", "features", featureset.dataset_from_csv)
     presets = model.table2_presets()
-    reports = model.monte_carlo_cv(X, y, presets, repeats=cfg.repeats,
-                                   train_fraction=cfg.train_fraction, hyper=cfg.hyper,
-                                   seed=cfg.seed, balance=cfg.balance)
+    reports = model.monte_carlo_cv(X, y, presets, cfg.hyper, repeats=cfg.repeats,
+                                   train_fraction=cfg.train_fraction, seed=cfg.seed,
+                                   balance=cfg.balance)
     for preset, report in zip(presets, reports):
         _write(out_dir / "reports" / f"{preset.key}.json", report)
 
 
 def stage_report(cfg, out_dir):
-    reports = [_read(out_dir / "reports" / f"{preset.key}.json", "train", model.report_from_json)
-               for preset in model.table2_presets()]
-    _write(out_dir / "report_table.txt", model.report_table(reports))
+    reports = [_read(out_dir / "reports" / f"{key}.json", "train", report_mod.report_from_json)
+               for key, _, _ in report_mod.PRESETS]
+    _write(out_dir / "report_table.txt", report_mod.report_table(reports))
 
 
 _STAGES = {
@@ -317,6 +334,7 @@ _RUN_ORDER = ["ingest", "snapshots", "communities", "roles", "features", "train"
 def run_pipeline(cfg, out_dir, quiet=False):
     """Execute all stages in order against one output directory, handing the posts
     `ingest` returns to `snapshots` and `features`; `train` runs without them."""
+    from . import featureset, model  # noqa: F401  numpy first: after the posts, peak RSS grows
     posts = None
     for name in _RUN_ORDER:
         if not quiet:

@@ -10,7 +10,8 @@ inserted. The update is synchronous, so results do not depend on any pair
 order. Communities are the connected components of the final matrix, labelled
 by `_kernels.component_labels` (as in centrality) over its CSR form in the
 graph's node numbering (ascending user id), and filtered by a minimum size.
-Modularity labels each node with its community and sums array terms.
+Modularity labels each node with its community and sums array terms. Those two
+functions import numpy in their bodies: `roles` reads communities.csv without it.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import ConfigError, ParseError
 
 COMMUNITY_COLUMNS = ["snapshot_index", "community_id", "user_id"]
@@ -68,6 +66,8 @@ def detect_communities(graph, config=PropinquityConfig()):
     exact for counts below 2**24. Community ids are assigned in ascending
     order of smallest member user_id.
     """
+    import numpy as np
+    from . import _kernels
     order = list(graph.nodes)
     adj = np.zeros((len(order), len(order)), dtype=bool)
     adj[np.repeat(np.arange(len(order)), np.diff(graph.indptr)), graph.indices] = True
@@ -100,6 +100,7 @@ def modularity(graph, communities):
     as singleton communities, in ascending order after the communities; a graph
     with no edges scores 0. The terms are summed left to right.
     """
+    import numpy as np
     label = np.full(len(graph.nodes), -1)
     for i, comm in enumerate(communities):
         label[[graph.nodes[u] for u in comm.members]] = i

@@ -53,6 +53,8 @@ class FeatureContext:
                  lexicon, patterns):
         windows = list(windows)
         graphs = {g.snapshot_index: g for g in graphs}
+        # each CSR before the arrays below: built among them, it grows peak RSS
+        csr = {k: g.csr for k, g in graphs.items()}
         self.n_windows = n_windows = len(windows)
         first = windows[0].start
         buckets = graph_mod.posts_by_window(sorted(posts, key=lambda p: p.created_at), windows)
@@ -79,8 +81,7 @@ class FeatureContext:
                 raise ParseError("the graphs do not hold the users who post in each window: "
                                  "they were built on another window calendar; rerun "
                                  "'snapshots'")
-            self.centrality[in_k] = np.column_stack(_kernels.centrality_csr(g.indptr,
-                                                                            g.indices))
+            self.centrality[in_k] = np.column_stack(_kernels.centrality_csr(*csr[k]))
         self.modularity = np.array([
             community_mod.modularity(graphs[k], communities_by_snapshot.get(k, []))
             for k in range(n_windows)])

@@ -4,21 +4,20 @@ Every post maps to exactly one fixed-width window counted from the corpus
 first post; `posts_by_window` buckets posts, and a post outside the calendar
 is an error. Within a window, two users are connected iff they posted in at
 least one common thread; the edge weight is the number of distinct shared
-threads. Each graph numbers its nodes in ascending order and holds the CSR
-adjacency over those numbers, which the numpy kernels read directly: `featureset`
-hands it to `_kernels.centrality_csr` (the unweighted graph), and `community` runs
-propinquity dynamics on it.
+threads. Each graph numbers its nodes in ascending order; the CSR adjacency over
+those numbers is built, with numpy, on first read: `featureset` hands it to
+`_kernels.centrality_csr` (the unweighted graph), and `community` runs propinquity
+dynamics on it. `snapshots` builds and writes graphs without it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from itertools import combinations
-
-import numpy as np
 
 from .errors import ParseError
 
@@ -40,23 +39,27 @@ class InteractionGraph:
     (user_a, user_b), user_a < user_b, to the number of shared threads: that
     weight is written by `edges_csv` but read by no computation. `indptr` and
     `indices` are the CSR adjacency over the node indices, each edge listed both
-    ways and each node's neighbours in ascending order."""
+    ways and each node's neighbours in ascending order, built on first read."""
 
     snapshot_index: int
     nodes: dict
     edges: dict
-    indptr: np.ndarray = field(init=False, compare=False, repr=False)
-    indices: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index = {u: i for i, u in enumerate(sorted(self.nodes))}
-        ends = np.fromiter((index[u] for pair in self.edges for u in pair), dtype=np.int64,
+        object.__setattr__(self, "nodes", {u: i for i, u in enumerate(sorted(self.nodes))})
+
+    @cached_property
+    def csr(self):
+        """(indptr, indices), int64 arrays."""
+        import numpy as np
+        ends = np.fromiter((self.nodes[u] for pair in self.edges for u in pair), dtype=np.int64,
                            count=2 * len(self.edges)).reshape(-1, 2)
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
-        object.__setattr__(self, "nodes", index)
-        object.__setattr__(self, "indptr", np.concatenate(
-            [[0], np.cumsum(np.bincount(rows, minlength=len(index)))]))
-        object.__setattr__(self, "indices", cols[np.lexsort((cols, rows))])
+        return (np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(self.nodes)))]),
+                cols[np.lexsort((cols, rows))])
+
+    indptr = property(lambda self: self.csr[0])
+    indices = property(lambda self: self.csr[1])
 
 
 def build_windows(first_post, last_post, window_days):
@@ -123,7 +126,8 @@ def edges_csv(graphs):
     writer.writerow(EDGE_COLUMNS)
     for graph in sorted(graphs, key=lambda g: g.snapshot_index):
         rows = [(a, b, w) for (a, b), w in graph.edges.items()]
-        rows += [(u, "", 0) for u, d in zip(graph.nodes, np.diff(graph.indptr)) if d == 0]
+        linked = {u for pair in graph.edges for u in pair}
+        rows += [(u, "", 0) for u in graph.nodes if u not in linked]
         writer.writerows((graph.snapshot_index, *row) for row in sorted(rows))
     return buf.getvalue()
 

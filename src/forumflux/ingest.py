@@ -3,7 +3,7 @@
 Input posts arrive as JSONL (one object per line) or RFC-4180 CSV with the
 fixed column order post_id,thread_id,user_id,created_at,body. Timestamps must
 be ISO-8601 with an explicit UTC offset; naive timestamps are rejected rather
-than guessed so that downstream windowing never drifts.
+than guessed so that downstream windowing never drifts. Only the generator imports numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring
 from operator import itemgetter
-
-import numpy as np
 
 from .errors import ConfigError, ParseError
 from .lexifeat import (COGNITION_CATEGORIES, SENTIMENT_CATEGORIES, default_intent_patterns,
@@ -277,6 +275,7 @@ def generate_synthetic_forum(seed, params=SynthParams()):
     except OverflowError:
         raise ConfigError(f"config keys 'window_days' and 'synth_n_windows': {p.n_windows} "
                           f"windows of {p.window_days} days end after year 9999") from None
+    import numpy as np
     rng = np.random.default_rng(seed)
     sentiment_words, cognition_words, phrases = _signal_words()
 

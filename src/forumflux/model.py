@@ -1,4 +1,4 @@
-"""Normalization, logistic regression, Monte Carlo CV, and ablation presets.
+"""Normalization, logistic regression, Monte Carlo CV, and the ablation masks.
 
 Each fit minimizes the L2-regularized mean negative log-likelihood by Newton's
 method from zero initialization until it has converged, so a trained model is
@@ -7,33 +7,19 @@ preset's mask selects the columns its fit solves for, so a masked weight stays
 exactly 0, and the loss is computed once per fit, at the end. The presets of a
 CV repeat share its split and normalization: each repeat trains one weight
 matrix, a row per preset, on its training rows, and scores it on its test rows.
+The presets are the rows of `report.PRESETS` with their masks as arrays; the
+settings of a fit, `cli.Hyper`, are an argument, so no module here imports `cli`.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, TrainingError
-from .featureset import FEATURE_NAMES, N_FEATURES
-
-_IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-_METRICS = ("precision", "recall", "f_measure", "train_accuracy")  # each with a mean and a std
-
-
-@dataclass(frozen=True)
-class Hyper:
-    epochs: int = 500        # the most Newton steps a fit may take
-    l2_lambda: float = 0.01
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.l2_lambda <= 0:
-            raise ConfigError("l2_lambda must be positive")
+from . import report
+from .errors import TrainingError
+from .featureset import FEATURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,7 @@ def loss_and_gradient(weights, bias, X, y, l2_lambda):
     return loss, grad_w, grad_b
 
 
-def train(X, y, masks, hyper=Hyper()):
+def train(X, y, masks, hyper):
     """Newton's method from zero init for each mask on one training set, X of shape
     (m, d) and y of shape (m,). Returns the weights W, of shape (k, d) for k masks,
     and the biases b, of shape (k,). A fit solves for the columns of its mask and a
@@ -142,8 +128,8 @@ def _downsample_majority(idx, y, rng):
     return np.sort(np.concatenate([small, large[keep]]))
 
 
-def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
-                   seed=0, balance=False):
+def monte_carlo_cv(X, y, presets, hyper, repeats=20, train_fraction=0.7, seed=0,
+                   balance=False):
     """Repeated stratified random splits; per preset, the report that stage_train writes
     as reports/<key>.json: {"model_name", "repeats", "train_accuracy": {"mean", "std"},
     "metrics": {"precision", "recall", "f_measure": {"mean", "std"}}}.
@@ -174,66 +160,13 @@ def monte_carlo_cv(X, y, presets, repeats=20, train_fraction=0.7, hyper=Hyper(),
     for j, preset in enumerate(presets):
         # one column at a time: a sum over axis 0 adds in another order
         metrics = {key: {"mean": float(np.mean(values[:, j])), "std": float(np.std(values[:, j]))}
-                   for key, values in zip(_METRICS, scores)}
+                   for key, values in zip(report.METRICS, scores)}
         reports.append({"model_name": preset.name, "repeats": repeats,
                         "train_accuracy": metrics.pop("train_accuracy"), "metrics": metrics})
     return reports
 
 
-def _mask(excluded):
-    mask = np.ones(N_FEATURES, dtype=bool)
-    for name in excluded:
-        mask[_IDX[name]] = False
-    return mask
-
-
-_TEXT_CURRENT = ["sentiment", "cognition", "intent"]
-_TEXT_HISTORY = ["avg_sentiment_before", "avg_cognition_before", "avg_intent_before",
-                 "last_sentiment", "last_cognition", "last_intent"]
-
-
 def table2_presets():
-    """The five ablation presets: all features, two text ablations, and two
-    structure ablations."""
-    return [
-        AblationPreset("m1", "M1: all features", _mask([])),
-        AblationPreset("m2", "M2: M1 without current sentiment, cognition, intent",
-                       _mask(_TEXT_CURRENT)),
-        AblationPreset("m3", "M3: M1 without any sentiment, cognition, intent",
-                       _mask(_TEXT_CURRENT + _TEXT_HISTORY)),
-        AblationPreset("m1_no_modularity", "M1 without modularity", _mask(["modularity"])),
-        AblationPreset("m3_no_avg_centrality", "M3 without avgconnectiveness and avgbetweenness",
-                       _mask(_TEXT_CURRENT + _TEXT_HISTORY
-                             + ["avg_connectiveness", "avg_betweenness"])),
-    ]
-
-
-def report_from_json(fh):
-    """The report of monte_carlo_cv, from the JSON file that stage_train wrote. A
-    model_name that is not a string, a repeats that is not an integer >= 1, or a
-    metric mean or std that is not a number in [0, 1] is a ParseError."""
-    report = json.load(fh)
-    stats = dict(report["metrics"], train_accuracy=report["train_accuracy"])
-    if not isinstance(report["model_name"], str):
-        raise ParseError("model_name must be a string")
-    if type(report["repeats"]) is not int or report["repeats"] < 1:
-        raise ParseError(f"repeats must be an integer >= 1, got {report['repeats']!r:.40}")
-    for name in _METRICS:
-        for key in ("mean", "std"):
-            value = stats[name][key]
-            if type(value) not in (int, float) or not 0 <= value <= 1:  # NaN fails too
-                raise ParseError(f"metric {name!r} {key} must be a number in [0, 1], "
-                                 f"got {value!r:.40}")
-    return report
-
-
-def report_table(reports):
-    """Plain-text table with Model / Precision / Recall / F-measure columns."""
-    buf = io.StringIO()
-    name_width = max(len("Model"), max((len(r["model_name"]) for r in reports), default=0))
-    buf.write(f"{'Model':<{name_width}}  {'Precision':>9}  {'Recall':>9}  {'F-measure':>9}\n")
-    for r in reports:
-        m = r["metrics"]
-        buf.write(f"{r['model_name']:<{name_width}}  {m['precision']['mean']:>9.4f}  "
-                  f"{m['recall']['mean']:>9.4f}  {m['f_measure']['mean']:>9.4f}\n")
-    return buf.getvalue()
+    """The five ablation presets of `report.PRESETS`, each excluded name a False column."""
+    return [AblationPreset(key, name, np.array([f not in excluded for f in FEATURE_NAMES]))
+            for key, name, excluded in report.PRESETS]

@@ -15,7 +15,7 @@ import pytest
 
 from forumflux import community as community_mod
 from forumflux import featureset, graph as graph_mod, ingest, lexifeat, model
-from forumflux.cli import main as cli_main
+from forumflux.cli import Hyper, main as cli_main
 from forumflux.community import PropinquityConfig, detect_communities, modularity
 from forumflux.evolution import Role, Task, label_all, label_roles
 from forumflux.graph import build_windows
@@ -156,7 +156,7 @@ def test_criterion_7_separable_data():
         y = (X @ w_true > 0).astype(np.float64)
         mean, std = model.normalize_fit(X)
         X = (X - mean) / std
-        W, b = model.train(X, y, [np.ones(18, bool)])
+        W, b = model.train(X, y, [np.ones(18, bool)], Hyper())
         f_measure = float(model._score(W, b, X, y)[2][0])
         assert f_measure >= 0.95
     assert t.elapsed < 5.0
@@ -172,7 +172,7 @@ def _pipeline_f_measure(strength, seed=7, repeats=20):
     dataset = featureset.build_dataset(label_all(communities), Task.LEAVE_VS_STAY, ctx)
     X, y = featureset.dataset_from_csv(io.StringIO(
         featureset.dataset_csv(Task.LEAVE_VS_STAY, *dataset), newline=""))
-    rep = model.monte_carlo_cv(X, y, [model.table2_presets()[0]],
+    rep = model.monte_carlo_cv(X, y, [model.table2_presets()[0]], Hyper(),
                                repeats=repeats, seed=0)[0]
     return len(posts), rep["metrics"]["f_measure"]["mean"]
 

@@ -4,10 +4,12 @@ import filecmp
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -20,6 +22,7 @@ import forumflux
 from forumflux import cli, featureset, graph as graph_mod, ingest, model
 from forumflux.cli import main
 from forumflux.errors import ConfigError
+from forumflux.report import report_from_json
 
 from conftest import serialize
 
@@ -308,6 +311,24 @@ class TestFullRun:
         assert len(parses) == 4  # run hands the posts ingest parsed on
         for rel in artifact_tree(staged):
             assert filecmp.cmp(staged / rel, whole / rel, shallow=False), rel
+
+    def test_run_parses_once_assembles_once_and_builds_each_graph_once(self, tmp_path,
+                                                                        config_path,
+                                                                        monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli("--config", config_path, "--out", str(out), "--quiet", "synth") == 0
+        calls = Counter()
+        for module, name in ((ingest, "parse_posts"), (featureset, "assemble_features"),
+                             (graph_mod, "build_graph")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)  # where the stages resolve it
+        cfg = cli.load_config(config_path)
+        cli.run_pipeline(cfg, out, quiet=True)
+        n_windows = len(cli._windows(cfg, out))
+        assert n_windows == 5
+        assert calls == {"parse_posts": 1, "assemble_features": 1, "build_graph": n_windows}
 
     def test_training_that_does_not_converge_exits_3(self, tmp_path, config_path):
         out = str(tmp_path / "out")
@@ -721,14 +742,59 @@ def test_huge_finite_feature_exits_2_naming_its_line(built_tree, tmp_path, capsy
     assert err.startswith(f"error: malformed {path}: feature in dataset row at line 2 "), err
 
 
+def imports_numpy(stderr):
+    """Whether the -X importtime lines in stderr show numpy or a submodule of it imported."""
+    return re.search(r"\|\s*numpy(\.|$)", stderr, re.MULTILINE) is not None
+
+
+class TestStageImports:
+    """A stage process imports only the modules it calls."""
+
+    def test_stages_without_arrays_run_without_numpy(self, built_tree, tmp_path):
+        cfg, whole = built_tree
+        out = tmp_path / "out"
+        assert run_module("--config", str(cfg), "--out", str(out), "--quiet",
+                          "synth").returncode == 0
+        for stage in cli._RUN_ORDER:  # ingest reads the posts.jsonl that synth wrote
+            proc = run_module("--config", str(cfg), "--out", str(out), "--quiet", stage,
+                              PYTHONPROFILEIMPORTTIME="1")
+            assert proc.returncode == 0, proc.stderr
+            assert imports_numpy(proc.stderr) == (stage in ("communities", "features",
+                                                            "train")), stage
+        assert artifact_tree(out) == artifact_tree(whole)
+        for rel in artifact_tree(whole):
+            assert filecmp.cmp(out / rel, whole / rel, shallow=False), rel
+
+    def test_ingest_of_an_input_help_and_config_errors_run_without_numpy(self, built_tree,
+                                                                          tmp_path):
+        cfg, whole = built_tree
+        given = tmp_path / "input.cfg"
+        given.write_text(f"input = {whole / 'posts.jsonl'}\n")
+        proc = run_module("--config", str(given), "--out", str(tmp_path / "out"), "--quiet",
+                          "ingest", PYTHONPROFILEIMPORTTIME="1")
+        assert proc.returncode == 0 and not imports_numpy(proc.stderr), proc.stderr
+        assert filecmp.cmp(tmp_path / "out" / "posts.jsonl", whole / "posts.jsonl",
+                           shallow=False)
+        proc = run_module("--help", PYTHONPROFILEIMPORTTIME="1")
+        assert proc.returncode == 0 and "usage: forumflux" in proc.stdout
+        assert not imports_numpy(proc.stderr)
+        flat = tmp_path / "flat.cfg"
+        flat.write_text("l2_lambda = 0\n")
+        for stage in ("run", "train"):
+            proc = run_module("--config", str(flat), "--out", str(tmp_path / "out"), "--quiet",
+                              stage, PYTHONPROFILEIMPORTTIME="1")
+            assert proc.returncode == 1 and "error: config key 'l2_lambda'" in proc.stderr
+            assert not imports_numpy(proc.stderr)
+
+
 def test_report_round_trip(built_tree, tmp_path):
     X, y = cli._read(built_tree[1] / "dataset.csv", "features", featureset.dataset_from_csv)
     presets = model.table2_presets()
-    reports = model.monte_carlo_cv(X, y, presets, repeats=2, hyper=model.Hyper(epochs=50))
+    reports = model.monte_carlo_cv(X, y, presets, cli.Hyper(epochs=50), repeats=2)
     for preset, report in zip(presets, reports):
         path = tmp_path / "reports" / f"{preset.key}.json"
         cli._write(path, report)
-        assert cli._read(path, "train", model.report_from_json) == report
+        assert cli._read(path, "train", report_from_json) == report
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,9 +1,12 @@
+import csv
 import io
 from datetime import datetime, timedelta, timezone
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forumflux import _kernels, graph as graph_mod
 from forumflux.errors import ParseError
@@ -438,6 +441,45 @@ def test_edges_csv_round_trip_keeps_isolated_nodes_and_empty_windows():
     assert text == ("snapshot_index,user_a,user_b,weight\n"
                     "0,a,b,2\n0,loner,,0\n2,solo,,0\n")
     assert graphs_from_csv(io.StringIO(text, newline=""), windows) == graphs
+
+
+def test_graphs_build_their_csr_on_first_read_only():
+    posts = [make_post(f"p{i}", f"t{i % 3}", f"u{i % 7}", minutes=i * 90) for i in range(60)]
+    graphs = window_graphs(posts, build_windows(T0, T0 + timedelta(minutes=59 * 90), 1))
+    edges_csv(graphs)  # snapshots builds and writes graphs without their CSR
+    assert len(graphs) == 4 and not any("csr" in g.__dict__ for g in graphs)
+    assert graphs[0].indptr is graphs[0].csr[0] and graphs[0].indices is graphs[0].csr[1]
+    assert "csr" in graphs[0].__dict__ and not any("csr" in g.__dict__ for g in graphs[1:])
+
+
+def edges_csv_by_degree(graphs):
+    """edges_csv with the edgeless nodes picked from the CSR, np.diff(indptr) == 0."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(graph_mod.EDGE_COLUMNS)
+    for g in sorted(graphs, key=lambda g: g.snapshot_index):
+        rows = [(a, b, w) for (a, b), w in g.edges.items()]
+        rows += [(u, "", 0) for u, d in zip(g.nodes, np.diff(g.indptr)) if d == 0]
+        writer.writerows((g.snapshot_index, *row) for row in sorted(rows))
+    return buf.getvalue()
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw, snapshot_index):
+    nodes = draw(st.lists(st.text("abxyz", min_size=1, max_size=3), unique=True, max_size=12))
+    pairs = list(combinations(sorted(nodes), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_graph([(a, b, draw(st.integers(1, 5))) for a, b in edges], snapshot_index,
+                      extra_nodes=nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(graphs_with_isolated_nodes(k) for k in range(n)))))
+def test_edges_csv_picks_the_nodes_of_csr_degree_zero(graphs):
+    text = edges_csv(graphs)
+    assert not any("csr" in g.__dict__ for g in graphs)
+    assert text == edges_csv_by_degree(graphs)
 
 
 def test_edges_csv_row_outside_windows_rejected():

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from forumflux import model
+from forumflux.cli import Hyper
 from forumflux.errors import ConfigError, ParseError, TrainingError
 from forumflux.featureset import FEATURE_NAMES, N_FEATURES
-from forumflux.model import (AblationPreset, Hyper, loss_and_gradient,
-                             monte_carlo_cv, normalize_fit,
-                             report_from_json, report_table, table2_presets,
-                             train)
+from forumflux.model import (AblationPreset, loss_and_gradient, monte_carlo_cv, normalize_fit,
+                             table2_presets, train)
+from forumflux.report import report_from_json, report_table
 
 
 def full_mask(d=N_FEATURES):
@@ -135,19 +135,19 @@ class TestTrain:
     def test_one_dimensional_separable(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
-        W, b = train(X, y, [full_mask(1)])
+        W, b = train(X, y, [full_mask(1)], Hyper())
         assert (proba(W[0], b[0], X) >= 0.5).tolist() == [False, True]
 
     def test_large_l2_shrinks_weights(self):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, n=100)
-        W, b = train(X, y, [full_mask()], hyper=Hyper(l2_lambda=1e5))
+        W, b = train(X, y, [full_mask()], Hyper(l2_lambda=1e5))
         assert np.all(np.abs(W) < 1e-2)
         assert np.all(np.abs(proba(W[0], b[0], X) - 0.5) < 0.1)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            train(np.ones((3, 2)), np.ones(3), [full_mask(2)])
+            train(np.ones((3, 2)), np.ones(3), [full_mask(2)], Hyper())
 
     def test_a_fit_that_has_not_converged_by_the_step_cap_raises(self):
         rng = np.random.default_rng(19)
@@ -173,7 +173,7 @@ class TestTrain:
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[::2] = False
-        W, _ = train(X, y, [mask])
+        W, _ = train(X, y, [mask], Hyper())
         assert np.all(W[0, ~mask] == 0.0)
 
     def test_mask_equals_physical_reduction(self):
@@ -181,8 +181,8 @@ class TestTrain:
         X, y = separable_data(rng, n=80)
         mask = full_mask()
         mask[[0, 5, 17]] = False
-        W, b = train(X, y, [mask])
-        W_reduced, b_reduced = train(X[:, mask], y, [full_mask(int(mask.sum()))])
+        W, b = train(X, y, [mask], Hyper())
+        W_reduced, b_reduced = train(X[:, mask], y, [full_mask(int(mask.sum()))], Hyper())
         p1 = proba(W[0], b[0], X)
         p2 = proba(W_reduced[0], b_reduced[0], X[:, mask])
         assert np.max(np.abs(p1 - p2)) < 1e-12
@@ -220,7 +220,7 @@ class TestOptimum:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(80, N_FEATURES))
         y = (X[:, 0] + rng.normal(scale=1.5, size=80) > 0).astype(np.float64)
-        W, b = train(X, y, [full_mask()])
+        W, b = train(X, y, [full_mask()], Hyper())
         newton = np.r_[W[0], b[0]]
         w, bias, gaps = np.zeros(N_FEATURES), 0.0, []
         for epoch in range(1, 20001):
@@ -255,7 +255,7 @@ class TestStackedTrain:
             presets = [AblationPreset(f"p{i}", f"p{i}", mask)
                        for i, mask in enumerate(random_masks(rng, 5))]
             hyper = Hyper(epochs=60, l2_lambda=float(10.0 ** rng.uniform(-4, 1)))
-            monte_carlo_cv(X, y, presets, repeats=3, hyper=hyper, seed=3, balance=balance)
+            monte_carlo_cv(X, y, presets, hyper, repeats=3, seed=3, balance=balance)
         assert len(calls) == 6  # one call per repeat
         for X, y, masks, hyper, (W, b) in calls:
             assert X.shape == (len(y), N_FEATURES)
@@ -273,10 +273,10 @@ class TestStackedTrain:
         X += rng.normal(scale=3.0, size=X.shape)  # predictions near 0.5
         presets = table2_presets()
         for balance in (False, True):
-            together = monte_carlo_cv(X, y, presets, repeats=4, seed=5, balance=balance)
+            together = monte_carlo_cv(X, y, presets, Hyper(), repeats=4, seed=5, balance=balance)
             assert [r["model_name"] for r in together] == [p.name for p in presets]
             for preset, report in zip(presets, together):
-                assert report == monte_carlo_cv(X, y, [preset], repeats=4, seed=5,
+                assert report == monte_carlo_cv(X, y, [preset], Hyper(), repeats=4, seed=5,
                                                 balance=balance)[0]
 
     def test_masked_weights_exactly_zero_in_every_row(self):
@@ -305,7 +305,7 @@ class TestStackedTrain:
                             lambda w, b, X, y, lam: (float("nan"), w, b))
         X, y = separable_data(np.random.default_rng(15), n=30)
         with pytest.raises(TrainingError, match="final losses"):
-            train(X, y, [full_mask()])
+            train(X, y, [full_mask()], Hyper())
 
 
 labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=60).filter(
@@ -337,7 +337,8 @@ def test_every_split_holds_both_classes_and_one_train_size(y, train_fraction, se
                             side_effect=recorded(balanced, model._downsample_majority)),
           mock.patch.object(model, "train", side_effect=fit)):
         monte_carlo_cv(np.zeros((len(y), 1)), y, [AblationPreset("all", "all", full_mask(1))],
-                       repeats=6, train_fraction=train_fraction, seed=seed, balance=balance)
+                       Hyper(), repeats=6, train_fraction=train_fraction, seed=seed,
+                       balance=balance)
     trained = balanced if balance else [train_idx for train_idx, _ in splits]
     assert len(splits) == len(trained) == len(fitted) == 6
     for train_idx, (_, test_idx), y_train in zip(trained, splits, fitted):
@@ -357,7 +358,7 @@ class TestScore:
     def test_perfect_predictions(self):
         X = np.array([[-2.0], [2.0]])
         y = np.array([0.0, 1.0])
-        W, b = train(X, y, [full_mask(1)])
+        W, b = train(X, y, [full_mask(1)], Hyper())
         assert score_one(W[0], b[0], X, y) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_negative_predictions(self):
@@ -402,29 +403,30 @@ class TestMonteCarloCV:
         X = np.vstack([rng.normal(-5, 0.1, size=(30, N_FEATURES)),
                        rng.normal(5, 0.1, size=(30, N_FEATURES))])
         y = np.array([0.0] * 30 + [1.0] * 30)
-        report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=1, seed=0)[0]
+        report = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=1, seed=0)[0]
         assert [report["metrics"][key]["mean"] for key in ("precision", "recall", "f_measure")] \
             == [1.0, 1.0, 1.0]
 
     def test_same_seed_identical_reports(self):
         rng = np.random.default_rng(6)
         X, y = separable_data(rng, n=120)
-        a = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=5, seed=42)[0]
-        b = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=5, seed=42)[0]
+        a = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=5, seed=42)[0]
+        b = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=5, seed=42)[0]
         assert a == b
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(6)
         X, y = separable_data(rng, n=120)
         X += rng.normal(scale=2.0, size=X.shape)
-        a = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=3, seed=1)[0]
-        b = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=3, seed=2)[0]
+        a = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=3, seed=1)[0]
+        b = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=3, seed=2)[0]
         assert a != b
 
     def test_balance_downsample_runs(self):
         rng = np.random.default_rng(8)
         X, y = separable_data(rng, n=150)
-        report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=3, seed=0, balance=True)[0]
+        report = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=3, seed=0,
+                                balance=True)[0]
         assert 0.0 <= report["metrics"]["f_measure"]["mean"] <= 1.0
 
     def test_scaling_a_feature_before_zscore_changes_nothing(self):
@@ -432,8 +434,8 @@ class TestMonteCarloCV:
         X, y = separable_data(rng, n=100)
         scaled = X.copy()
         scaled[:, 3] *= 1000.0
-        a = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=3, seed=0)[0]
-        b = monte_carlo_cv(scaled, y, [table2_presets()[0]], repeats=3, seed=0)[0]
+        a = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=3, seed=0)[0]
+        b = monte_carlo_cv(scaled, y, [table2_presets()[0]], Hyper(), repeats=3, seed=0)[0]
         assert a["metrics"]["f_measure"]["mean"] == pytest.approx(
             b["metrics"]["f_measure"]["mean"], abs=1e-12)
 
@@ -462,7 +464,7 @@ class TestPresets:
 def test_report_serialization_round_trip():
     rng = np.random.default_rng(10)
     X, y = separable_data(rng, n=80)
-    report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=2, seed=0)[0]
+    report = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=2, seed=0)[0]
     assert report_from_json(io.StringIO(json.dumps(report))) == report
     assert report.keys() == {"model_name", "repeats", "train_accuracy", "metrics"}
     assert report["model_name"] == "M1: all features" and report["repeats"] == 2
@@ -492,7 +494,7 @@ def test_report_serialization_round_trip():
 def test_report_from_json_rejects_bad_values(edit):
     rng = np.random.default_rng(10)
     X, y = separable_data(rng, n=80)
-    report = monte_carlo_cv(X, y, [table2_presets()[0]], repeats=2, seed=0)[0]
+    report = monte_carlo_cv(X, y, [table2_presets()[0]], Hyper(), repeats=2, seed=0)[0]
     edit(report)
     with pytest.raises(ParseError):
         report_from_json(io.StringIO(json.dumps(report)))
